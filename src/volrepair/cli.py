@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .constraints import detect_arbitrage
 from .entropic import epsilon_sweep
-from .errors import ProblemTooLargeError, VolRepairError
+from .errors import InvalidConfigError, ProblemTooLargeError, VolRepairError
 from .lp import solve_p_prime
 from .market_data import (
     NormalizedSurface,
@@ -70,7 +70,10 @@ def _build_config(args, marks) -> RepairConfig:
         flag = getattr(args, k, None)
         if flag is not None:
             values[k] = flag
-    return RepairConfig(calibration_marks=tuple(marks), **values)
+    try:
+        return RepairConfig(calibration_marks=tuple(marks), **values)
+    except ValueError as exc:
+        raise InvalidConfigError(str(exc)) from exc
 
 
 def _write_manifest(out_dir: Path, command: str, args) -> None:

@@ -2,8 +2,16 @@
 
 The martingale set on the path space is {mu >= 0, A mu = b} with one mass
 row, one centering row, and one zero-mean increment row per conditioning
-prefix; calibration appends one row per pinned price. The detector combines
-fast necessary smile/calendar checks with a complete LP feasibility test.
+prefix; calibration appends one row per pinned price. The repair solvers
+work on that system.
+
+The detector does not: it first runs fast necessary smile/calendar checks at
+the quoted nodes, then a complete feasibility LP over the marginals alone.
+On the grid, a martingale on the path space reprices every quote exactly
+when marginals mu_1..mu_m on the grid exist that have unit mass and unit
+mean, reprice the quotes, and increase in convex order (Strassen); convex
+order between measures on the grid needs checking only at its knots. That
+LP has (2m - 1) * L variables instead of the L^m of the path space.
 """
 
 from __future__ import annotations
@@ -276,20 +284,72 @@ def all_node_targets(surface: NormalizedSurface) -> list[CalibrationTarget]:
     ]
 
 
-def martingale_feasible(
-    surface: NormalizedSurface,
-    kmax_margin: float = DEFAULT_KMAX_MARGIN,
-) -> tuple[bool, float]:
-    """Complete check: does a martingale on the path space match all quotes?"""
+def _detector_grid(
+    surface: NormalizedSurface, kmax_margin: float
+) -> tuple[list[CalibrationTarget], Theta]:
+    """Every quote as a pricing target, and the grid the detector checks on.
+
+    k_max treats the quotes as calibration targets, falling back to the
+    uncalibrated bound when they are degenerate.
+    """
     targets = all_node_targets(surface)
     try:
         k_max = choose_kmax(surface, targets, margin=kmax_margin)
     except DegenerateCalibrationError:
         k_max = choose_kmax(surface, margin=kmax_margin)
-    theta = build_theta(surface, k_max)
-    base = build_martingale_system(theta, surface.n_maturities)
-    system = build_calibrated_system(base, targets, theta)
-    return lp.check_feasibility(system.A, system.b)
+    return targets, build_theta(surface, k_max)
+
+
+def _marginal_feasibility_system(
+    theta: Theta, m: int, targets: list[CalibrationTarget]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows {a x = b, x >= 0} of the marginal-space detector LP.
+
+    The variables are mu_1..mu_m on the grid (m * L values, period-major)
+    followed by one slack s_{i,l} >= 0 per convex-order row ((m - 1) * L
+    values). Rows, in order: the m mass rows, the m mean rows, one pricing
+    row sum_j (theta_j - k)+ mu_i(theta_j) = c per target, and per adjacent
+    pair (i, i + 1) and knot theta_l the convex-order row
+    sum_j (theta_j - theta_l)+ (mu_{i+1} - mu_i)(theta_j) - s_{i,l} = 0.
+    For m = 1 this is the path-space system, row for row.
+    """
+    k = theta.strikes
+    l = theta.l  # noqa: E741
+    n_mu = m * l
+    n_quotes = len(targets)
+    period = np.array([t[0] for t in targets], dtype=int)
+    strike = np.array([t[1] for t in targets], dtype=float)
+    price = np.array([t[2] for t in targets], dtype=float)
+
+    a = np.zeros((2 * m + n_quotes + (m - 1) * l, (2 * m - 1) * l))
+    a[:m, :n_mu] = np.kron(np.eye(m), np.ones(l))
+    a[m : 2 * m, :n_mu] = np.kron(np.eye(m), k)
+    quote_rows = 2 * m + np.arange(n_quotes)
+    a[quote_rows[:, None], period[:, None] * l + np.arange(l)] = np.maximum(
+        k[None, :] - strike[:, None], 0.0
+    )
+    calls = np.maximum(k[None, :] - k[:, None], 0.0)  # calls[l, j] = (k_j - k_l)+
+    step = np.eye(m - 1, m, k=1) - np.eye(m - 1, m)  # mu_{i+1} - mu_i
+    a[2 * m + n_quotes :, :n_mu] = np.kron(step, calls)
+    a[2 * m + n_quotes :, n_mu:] = -np.eye((m - 1) * l)
+    b = np.concatenate([np.ones(2 * m), price, np.zeros((m - 1) * l)])
+    return a, b
+
+
+def martingale_feasible(
+    surface: NormalizedSurface,
+    kmax_margin: float = DEFAULT_KMAX_MARGIN,
+) -> tuple[bool, float]:
+    """Complete check: does a martingale on the path space match all quotes?
+
+    Answered in marginal space (see the module docstring): a phase-1 simplex
+    on marginals that have unit mass and mean, reprice every quote and
+    increase in convex order at the grid knots. Returns (feasible, the
+    phase-1 residual, 0 when feasible).
+    """
+    targets, theta = _detector_grid(surface, kmax_margin)
+    a, b = _marginal_feasibility_system(theta, surface.n_maturities, targets)
+    return lp.check_feasibility(a, b)
 
 
 def detect_arbitrage(
@@ -297,7 +357,12 @@ def detect_arbitrage(
     tol: float = 1e-8,
     kmax_margin: float = DEFAULT_KMAX_MARGIN,
 ) -> ArbitrageReport:
-    """Two-stage detector: necessary smile/calendar checks, then the LP."""
+    """Two-stage detector: necessary smile/calendar checks, then the LP.
+
+    The second stage runs only when the node checks find nothing; it is
+    :func:`martingale_feasible`, whose residual becomes the magnitude of a
+    single ``lp_infeasible`` violation.
+    """
     violations = _smile_violations(surface, tol) + _calendar_violations(surface, tol)
     if violations:
         return ArbitrageReport(feasible=False, violations=tuple(violations))

@@ -70,6 +70,11 @@ class ProblemTooLargeError(VolRepairError):
     """The exact LP path was asked to handle more variables than its cap."""
 
 
+class SolverError(VolRepairError, ArithmeticError):
+    """The exact simplex stopped without a verdict: iteration cap or a
+    status that cannot occur on a well-posed problem."""
+
+
 class KmaxTooSmallError(VolRepairError):
     """The coupling program is infeasible; the grid upper bound was too small."""
 
@@ -91,6 +96,10 @@ class InstabilityError(VolRepairError):
 
 class DomainViolationError(VolRepairError):
     """A dual variable left the domain of its conjugate term."""
+
+
+class InvalidConfigError(VolRepairError, ValueError):
+    """A solver configuration field is out of range."""
 
 
 class InvalidCalibrationError(VolRepairError):

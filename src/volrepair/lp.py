@@ -16,6 +16,7 @@ from .errors import (
     ProblemTooLargeError,
     RankError,
     SingularSystemError,
+    SolverError,
 )
 
 DEFAULT_VAR_CAP = 5000
@@ -108,7 +109,7 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000):
         basis[leaving_row] = entering
         iters += 1
         if iters > iter_cap:
-            raise ArithmeticError("simplex iteration cap exceeded")
+            raise SolverError("simplex iteration cap exceeded")
 
 
 def _solve_standard_form(c, a, b):
@@ -126,7 +127,7 @@ def _solve_standard_form(c, a, b):
     basis = list(range(n, n + m))
     status, basis, x_b, _, it1 = _bland_simplex(c1, a1, b, basis)
     if status != "optimal":
-        raise ArithmeticError("phase 1 cannot be unbounded")
+        raise SolverError("phase 1 cannot be unbounded")
     infeas = float(c1[basis] @ x_b)
     if infeas > _FEAS_TOL:
         return LpSolution(status="infeasible", iterations=it1, infeasibility=infeas)
@@ -261,7 +262,7 @@ def solve_p_prime(
             "coupling program infeasible; the grid upper bound was too small"
         )
     if sol.status != "optimal":
-        raise ArithmeticError(f"unexpected LP status {sol.status}")
+        raise SolverError(f"unexpected LP status {sol.status}")
     coupling = sol.x[: n * n].reshape(n, n)
     mu = coupling.sum(axis=1) - nu_minus
     return coupling, mu, float(sol.objective_value)

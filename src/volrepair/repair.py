@@ -60,6 +60,8 @@ class RepairConfig:
             raise ValueError("entropic mode needs epsilon > 0")
         if not self.shift > 0:
             raise ValueError("shift must be > 0")
+        if not self.kmax_margin > 0:
+            raise ValueError("kmax_margin must be > 0")
 
 
 @dataclass

@@ -2,14 +2,23 @@
 
 These deliberately avoid the code paths they check: quadrature instead of
 closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
-scipy's LP for dual-side cross-checks, and raw pseudo-inverse algebra
-instead of the KKT solve.
+scipy's LP for dual-side cross-checks, raw pseudo-inverse algebra
+instead of the KKT solve, and the full path-space LP instead of the
+marginal-space detector.
 """
 
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
+
+from volrepair import lp
+from volrepair.constraints import (
+    _detector_grid,
+    build_calibrated_system,
+    build_martingale_system,
+)
+from volrepair.grid import DEFAULT_KMAX_MARGIN
 
 
 def lognormal_call_quadrature(k: float, vol: float, maturity: float) -> float:
@@ -96,3 +105,16 @@ def projection_formula(a, b, target):
     gram = a @ a.T
     correction = a.T @ np.linalg.lstsq(gram, a @ target - b, rcond=None)[0]
     return target - correction
+
+
+def pathspace_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
+    """Is there a martingale on the path space Theta^m matching all quotes?
+
+    Phase-1 simplex over all L^m paths: mass, centering and per-prefix
+    martingality rows plus one pricing row per quote, on the grid the
+    detector uses. Returns (feasible, residual) like ``martingale_feasible``.
+    """
+    targets, theta = _detector_grid(surface, kmax_margin)
+    base = build_martingale_system(theta, surface.n_maturities)
+    system = build_calibrated_system(base, targets, theta)
+    return lp.check_feasibility(system.A, system.b)

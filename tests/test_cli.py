@@ -165,6 +165,18 @@ class TestRepair:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--mode", "entropic", "--epsilon", "-1"], "epsilon"),
+         (["--kmax-margin", "-1"], "kmax_margin")],
+    )
+    def test_invalid_config_exit_one(self, clean_csv, tmp_path, capsys, flags, field):
+        code = main(["repair", str(clean_csv), *flags, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_precedence(self, clean_csv, atm_scenario, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "entropic", "epsilon": 2.0, "e_tol": 1e-5}))

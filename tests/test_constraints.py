@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from volrepair.constraints import (
+    _calendar_violations,
+    _detector_grid,
+    _marginal_feasibility_system,
     _smile_violations,
     all_node_targets,
     build_calibrated_system,
@@ -11,11 +14,18 @@ from volrepair.constraints import (
     martingale_feasible,
 )
 from volrepair.errors import DuplicateConstraintError
-from volrepair.grid import PathIndexer, Theta, build_theta, choose_kmax
-from volrepair.market_data import NormalizedSurface
+from volrepair.grid import (
+    DEFAULT_KMAX_MARGIN,
+    PathIndexer,
+    Theta,
+    build_theta,
+    choose_kmax,
+)
+from volrepair.market_data import NormalizedSurface, StressScenario, apply_stress
 from volrepair.signed_measure import marginal_weights
 
-from conftest import prepared, random_instance
+from conftest import make_surface, prepared, random_instance
+from oracles import pathspace_feasible
 
 
 def theta_l(l):  # noqa: E741
@@ -224,6 +234,118 @@ class TestDetector:
         assert "original_units" in entry
         strikes = entry["original_units"]["strikes"]
         assert all(50 < s < 150 for s in strikes)  # forward is 100
+
+
+def _quoted_surface(strikes, prices):
+    """Surface straight from normalized quotes, one maturity per entry."""
+    n = len(strikes)
+    return NormalizedSurface(
+        tuple(0.16 + 0.08 * i for i in range(n)),
+        tuple(np.array(k) for k in strikes),
+        tuple(np.array(c) for c in prices),
+        (100.0,) * n,
+        (0.99,) * n,
+    )
+
+
+# The later smile dips at k = 1.0 below the straight extension of the earlier
+# smile's last two quotes (0.089 - 0.62 * 0.05 = 0.058 > 0.055). The earlier
+# call function is convex, so C_1(1.0) >= 0.058 > C_2(1.0): no martingale
+# exists, yet every price passes the smile and calendar node checks.
+LP_ONLY_SURFACES = (
+    _quoted_surface([[0.9, 0.95], [0.9, 0.95, 1.0]], [[0.12, 0.089], [0.13, 0.09, 0.055]]),
+    _quoted_surface(
+        [[0.9, 0.95, 1.0], [0.9, 0.95], [0.9, 0.95, 1.0]],
+        [[0.11, 0.07, 0.04], [0.12, 0.089], [0.13, 0.09, 0.055]],
+    ),
+)
+
+
+def _mildly_stressed(rng, m):
+    """Smooth m-maturity surface with one node's vol scaled by 0.85-1.15."""
+    n_strikes = int(rng.integers(2, 5 if m < 3 else 4))
+    ks = np.sort(rng.uniform(0.85, 1.15, size=n_strikes))
+    while np.min(np.diff(ks, prepend=0.0)) < 0.03:
+        ks = np.sort(rng.uniform(0.85, 1.15, size=n_strikes))
+    base_vol = rng.uniform(0.15, 0.3)
+    curv = rng.uniform(0.1, 0.5)
+    vol_fns = [
+        (lambda shift: (lambda k: base_vol + shift + curv * (k - 1) ** 2))(
+            float(rng.uniform(-0.01, 0.03))
+        )
+        for _ in range(m)
+    ]
+    surface = make_surface([0.16, 0.24, 0.32][:m], [ks] * m, vol_fns)
+    i = int(rng.integers(0, m))
+    node = float(ks[int(rng.integers(0, n_strikes))])
+    mult = float(rng.uniform(0.85, 1.15))
+    scen = StressScenario(bands={i: (((node - 1e-9, node + 1e-9), mult),)})
+    return apply_stress(surface, scen)
+
+
+def _passes_node_checks(surface):
+    return not (_smile_violations(surface, 1e-8) + _calendar_violations(surface, 1e-8))
+
+
+class TestMarginalDetector:
+    def test_agrees_with_pathspace_oracle(self):
+        rng = np.random.default_rng(73)
+        cases = list(LP_ONLY_SURFACES)
+        cases += [_mildly_stressed(rng, m) for m in (1, 2, 3) for _ in range(30)]
+        cases += [random_instance(rng, m=m) for m in (1, 2) for _ in range(10)]
+        assert len(cases) >= 100
+        verdicts = []
+        for surface in cases:
+            feasible, residual = martingale_feasible(surface)
+            oracle = pathspace_feasible(surface)
+            assert feasible == oracle[0]
+            if surface.n_maturities == 1:
+                assert (feasible, residual) == oracle
+            verdicts.append((surface.n_maturities, feasible, _passes_node_checks(surface)))
+        # the set spans every period count, both verdicts, and node-clean
+        # surfaces on both sides of the LP
+        assert {m for m, _, _ in verdicts} == {1, 2, 3}
+        assert any(f and node for _, f, node in verdicts)
+        assert any(not f and node for _, f, node in verdicts)
+        assert any(not f and not node for _, f, node in verdicts)
+
+    def test_lp_only_surfaces_reported(self):
+        for surface in LP_ONLY_SURFACES:
+            assert _passes_node_checks(surface)
+            report = detect_arbitrage(surface)
+            assert not report.feasible and report.lp_checked
+            (violation,) = report.violations
+            assert violation.kind == "lp_infeasible"
+            assert violation.magnitude > 1e-8
+
+    def test_lp_has_linear_size(self):
+        for l, m, n_quotes in ((5, 1, 3), (6, 2, 8), (4, 3, 6), (12, 4, 40)):  # noqa: E741
+            theta = theta_l(l)
+            targets = [(t % m, 0.9, 0.1) for t in range(n_quotes)]
+            a, b = _marginal_feasibility_system(theta, m, targets)
+            assert a.shape == (2 * m + n_quotes + (m - 1) * l, (2 * m - 1) * l)
+            assert b.shape == (a.shape[0],)
+
+    def test_one_period_lp_is_pathspace_system(self, desk_surface):
+        targets, theta = _detector_grid(desk_surface, DEFAULT_KMAX_MARGIN)
+        a, b = _marginal_feasibility_system(theta, 1, targets)
+        system = build_calibrated_system(
+            build_martingale_system(theta, 1), targets, theta
+        )
+        np.testing.assert_array_equal(a, system.A)
+        np.testing.assert_array_equal(b, system.b)
+
+    def test_clean_four_maturity_ten_strikes(self):
+        ks = np.linspace(0.85, 1.15, 10)
+        surface = make_surface(
+            [0.16, 0.24, 0.32, 0.40],
+            [ks] * 4,
+            [(lambda s: (lambda k: 0.2 + s + 0.3 * (k - 1) ** 2))(0.01 * i) for i in range(4)],
+        )
+        _, theta = _detector_grid(surface, DEFAULT_KMAX_MARGIN)
+        assert theta.l**4 == 20_736  # paths; the marginal LP has 7 * 12 variables
+        report = detect_arbitrage(surface)
+        assert report.feasible and report.lp_checked
 
 
 class TestKmaxFeasibility:

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from volrepair.errors import KmaxTooSmallError, ProblemTooLargeError, RankError
+from volrepair.errors import (
+    KmaxTooSmallError,
+    ProblemTooLargeError,
+    RankError,
+    SolverError,
+    VolRepairError,
+)
 from volrepair.grid import distance_matrix, Theta
 from volrepair.lp import (
     LpProblem,
+    _bland_simplex,
     check_feasibility,
     solve_eq_lsq,
     solve_lp,
@@ -93,6 +100,13 @@ class TestSolveLp:
         sol = solve_lp(LpProblem([1.0, 2.0], a, b))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-10)
+
+    def test_iteration_cap_is_typed_error(self):
+        a = np.array([[1.0, 1.0, 1.0]])  # last column: artificial basis
+        with pytest.raises(SolverError) as info:
+            _bland_simplex(np.array([0.0, 0.0, 1.0]), a, np.array([1.0]), [2], iter_cap=0)
+        assert isinstance(info.value, VolRepairError)
+        assert isinstance(info.value, ArithmeticError)
 
 
 class TestFeasibility:
