@@ -16,7 +16,6 @@ from .entropic import (
     GibbsKernel,
     ScalingState,
     SinkhornReport,
-    dykstra_run,
     duality_gap,
     epsilon_sweep,
     gibbs_kernel,

@@ -34,6 +34,7 @@ from .repair import RepairConfig, prepare_projection, repair
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ARBITRAGE = 2
+EXIT_NOT_CONVERGED = 3  # entropic repair stopped at max_iters; outputs written
 
 CONFIG_FIELDS = ("mode", "epsilon", "e_tol", "max_iters", "kmax_margin", "shift")
 
@@ -241,6 +242,8 @@ def cmd_repair(args) -> int:
         json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
     )
     _write_manifest(out, "repair", args)
+    if result.diagnostics.get("converged") is False:
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ The regularized coupling is a diagonal scaling of the Gibbs kernel: one
 positive vector per constraint block (affine rows of the martingale system,
 the box constraint from the negative part, and the fixed column marginal).
 Each sweep updates the scalings in turn; affine substeps reduce to finding
-the root of an explicit monotone scalar function. The full-matrix Dykstra
-recursion is kept as a reference implementation for testing.
+the root of an explicit monotone scalar function. One sweep implementation
+serves the solver, the per-substep iterates and the single-block prox; the
+full-matrix Dykstra recursion it is checked against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolationError, InstabilityError
+from .errors import DomainViolationError, InstabilityError, SolverError
 from .signed_measure import JointSignedMeasure
 
 SAFE_EXPONENT = 700.0
@@ -34,16 +36,9 @@ class GibbsKernel:
 
 @dataclass
 class ScalingState:
-    """The R positive scaling vectors plus where the iteration stopped."""
+    """The R positive scaling vectors."""
 
     scalings: list[np.ndarray]
-    iteration: int = 0
-    substep: int = 0
-    criterion_history: list[float] = field(default_factory=list)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.scalings)
 
 
 @dataclass
@@ -172,7 +167,7 @@ def root_find(
         lam = cand
         val, gp = g_pair(lam)
     else:
-        raise ArithmeticError(f"root_find failed to converge (rhs={rhs})")
+        raise SolverError(f"root_find failed to converge (rhs={rhs})")
     # polish: a few extra Newton steps while they strictly help
     best, best_g, best_gp = lam, val, gp
     for _ in range(3):
@@ -186,16 +181,81 @@ def root_find(
     return best
 
 
-def _affine_rows(system) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    rows = []
-    for r in range(system.n_rows):
-        support = np.nonzero(system.A[r])[0]
-        rows.append((support, system.A[r][support]))
-    return rows, system.A
+class _Blocks:
+    """The R constraint blocks: affine rows, the box row, the column marginal.
+
+    Every block's KL projection is a diagonal scaling of the coupling, so
+    ``scaling(r, y)`` returns the new scaling vector of 0-based block ``r``
+    given the block's current image ``y`` (row sums for row blocks, column
+    sums for the last). Affine roots warm-start from the block's last root.
+    """
+
+    def __init__(self, system, nu: JointSignedMeasure):
+        self.A = system.A
+        self.rows = []  # (support, nonzero coefficients) of each affine row
+        for row in system.A:
+            support = np.nonzero(row)[0]
+            self.rows.append((support, row[support]))
+        self.rhs = system.b + system.A @ nu.nu_minus  # shifted by the box part
+        self.nu = nu
+        self.roots: list[float | None] = [None] * system.n_rows
+
+    def scaling(self, r: int, y: np.ndarray) -> np.ndarray:
+        n_aff = len(self.rows)
+        if r < n_aff:
+            support, coef = self.rows[r]
+            lam = root_find(
+                coef, y[support], float(self.rhs[r]), label=r + 1, x0=self.roots[r]
+            )
+            self.roots[r] = lam
+            return np.exp(lam * self.A[r])
+        if r == n_aff:
+            return np.maximum(self.nu.nu_minus / y, 1.0)
+        return self.nu.nu_plus / y
 
 
-def _shifted_rhs(system, nu: JointSignedMeasure) -> np.ndarray:
-    return system.b + system.A @ nu.nu_minus
+class _Sweep:
+    """Gauss-Seidel pass over the blocks, in scaling space.
+
+    Keeps the product ``rho`` of the row scalings and the kernel image
+    ``g_acol`` of the column scaling, so no substep materializes a coupling.
+    Starts from copies of ``scalings``, or from unit scalings.
+    """
+
+    def __init__(self, kernel: GibbsKernel, system, nu, scalings=None):
+        self.g = kernel.G
+        self.blocks = _Blocks(system, nu)
+        n_blocks = system.n_rows + 2
+        if scalings is None:
+            scalings = [np.ones(self.g.shape[0])] * n_blocks
+        elif len(scalings) != n_blocks:
+            raise ValueError("initial scalings block count mismatch")
+        self.a = [np.array(v, dtype=float) for v in scalings]
+        self.rho = np.ones(self.g.shape[0])
+        for v in self.a[:-1]:
+            self.rho = self.rho * v
+        self.g_acol = self.g @ self.a[-1]
+
+    def row_substeps(self):
+        """Affine rows, then the box row; yields after each substep."""
+        a = self.a
+        for r in range(len(a) - 1):
+            y = (self.rho / a[r]) * self.g_acol
+            _check_finite_positive(y, r + 1, "scaled kernel image")
+            new = self.blocks.scaling(r, y)
+            self.rho = self.rho * (new / a[r])
+            a[r] = new
+            _check_finite_positive(self.rho, r + 1, "row scaling product")
+            yield
+
+    def column_update(self, gt_rho: np.ndarray):
+        """Column-marginal substep; ``gt_rho`` is G^T rho."""
+        self.a[-1] = self.blocks.scaling(len(self.a) - 1, gt_rho)
+        _check_finite_positive(self.a[-1], len(self.a), "column scaling")
+        self.g_acol = self.g @ self.a[-1]
+
+    def coupling(self) -> np.ndarray:
+        return (self.rho[:, None] * self.g) * self.a[-1][None, :]
 
 
 def prox_vector(
@@ -204,32 +264,26 @@ def prox_vector(
     """KL-closest point of the r-th constraint set to a positive vector.
 
     ``r`` is 1-based: affine rows first, then the box constraint, then the
-    fixed column marginal (which ignores x entirely).
+    fixed column marginal.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("prox input must be strictly positive")
-    n_aff = system.n_rows
-    if not 1 <= r <= n_aff + 2:
-        raise IndexError(f"substep {r} outside [1, {n_aff + 2}]")
-    if r <= n_aff:
-        support = np.nonzero(system.A[r - 1])[0]
-        rhs = float(_shifted_rhs(system, nu)[r - 1])
-        lam = root_find(system.A[r - 1][support], x[support], rhs, label=r)
-        return x * np.exp(lam * system.A[r - 1])
-    if r == n_aff + 1:
-        return np.maximum(x, nu.nu_minus)
-    return nu.nu_plus.copy()
+    if not 1 <= r <= system.n_rows + 2:
+        raise IndexError(f"substep {r} outside [1, {system.n_rows + 2}]")
+    return x * _Blocks(system, nu).scaling(r - 1, x)
 
 
-def stopping_criterion(m: np.ndarray, system, nu: JointSignedMeasure) -> float:
-    """Max sup-norm violation of affine, box and column-marginal constraints."""
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
+def _marginal_criterion(row: np.ndarray, col: np.ndarray, system, nu) -> float:
     affine = float(np.max(np.abs(system.A @ (row - nu.nu_minus) - system.b)))
     box = float(np.max(np.maximum(nu.nu_minus - row, 0.0)))
     fixed = float(np.max(np.abs(col - nu.nu_plus)))
     return max(affine, box, fixed)
+
+
+def stopping_criterion(m: np.ndarray, system, nu: JointSignedMeasure) -> float:
+    """Max sup-norm violation of affine, box and column-marginal constraints."""
+    return _marginal_criterion(m.sum(axis=1), m.sum(axis=0), system, nu)
 
 
 def reconstruct_coupling(kernel: GibbsKernel, state: ScalingState) -> np.ndarray:
@@ -254,8 +308,7 @@ def sinkhorn_run(
     e_tol: float = DEFAULT_E_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     initial_scalings: list[np.ndarray] | None = None,
-    track_objectives: bool = True,
-    objective_every: int = 1,
+    objective_every: int | None = 1,
 ) -> tuple[np.ndarray, ScalingState, SinkhornReport]:
     """Multi-constrained scaling iteration until the criterion drops below e_tol.
 
@@ -264,103 +317,42 @@ def sinkhorn_run(
     The returned coupling is the one whose criterion met the tolerance,
     together with the scalings that reproduce it. Objective columns in the
     history are filled every ``objective_every`` sweeps (they need a dense
-    reconstruction, unlike the criterion itself).
+    reconstruction, unlike the criterion itself); ``None`` skips them and
+    the report's objective values.
     """
     g = kernel.G
-    n = g.shape[0]
-    rows, _ = _affine_rows(system)
-    rhs = _shifted_rhs(system, nu)
-    n_aff = system.n_rows
-    n_blocks = n_aff + 2
-
-    if initial_scalings is not None:
-        if len(initial_scalings) != n_blocks:
-            raise ValueError("initial scalings block count mismatch")
-        a = [np.array(v, dtype=float) for v in initial_scalings]
-    else:
-        a = [np.ones(n) for _ in range(n_blocks)]
-    rho = np.ones(n)
-    for v in a[:-1]:
-        rho = rho * v
-    g_acol = g @ a[-1]
-    lam_cache: list[float | None] = [None] * n_aff
-
+    sweep = _Sweep(kernel, system, nu, initial_scalings)
+    state = ScalingState(scalings=sweep.a)
     history: list[dict] = []
-    state = ScalingState(scalings=a, iteration=0, substep=n_blocks - 1)
 
-    def criterion_from_marginals(row_marg, col_marg):
-        affine = float(np.max(np.abs(system.A @ (row_marg - nu.nu_minus) - system.b)))
-        box = float(np.max(np.maximum(nu.nu_minus - row_marg, 0.0)))
-        fixed = float(np.max(np.abs(col_marg - nu.nu_plus)))
-        return max(affine, box, fixed)
-
-    def record(n_iter, crit, m=None, force=False):
-        entry = {"n": n_iter, "substep": n_blocks - 1, "criterion": crit}
-        if track_objectives and (force or n_iter % objective_every == 0):
-            if m is None:
-                m = (rho[:, None] * g) * a[-1][None, :]
+    # sweep n ends at the (n, R-1) iterate; the (0, R-1) iterate is the raw
+    # kernel. The column substep closing a sweep runs only if another follows.
+    n_iter = 0
+    gt_rho = g.T @ sweep.rho
+    while True:
+        row, col = sweep.rho * sweep.g_acol, sweep.a[-1] * gt_rho
+        crit = _marginal_criterion(row, col, system, nu)
+        entry = {"n": n_iter, "substep": system.n_rows + 1, "criterion": crit}
+        if objective_every and n_iter % objective_every == 0:
+            m = sweep.coupling()
             entry["primal_kl"] = kernel.epsilon * kl_divergence(m, g)
             entry["duality_gap"] = duality_gap(m, state, kernel, system, nu, m_rec=m)
         history.append(entry)
-        state.criterion_history.append(crit)
-
-    # convention: the (0, R-1) iterate is the raw kernel
-    crit = criterion_from_marginals(g_acol * rho, g.T @ rho * a[-1])
-    record(0, crit, m=(rho[:, None] * g) * a[-1][None, :])
-    if crit < e_tol:
-        m = (rho[:, None] * g) * a[-1][None, :]
-        report = SinkhornReport(True, 0, crit, history)
-        _finalize_report(report, m, state, kernel, system, nu, track_objectives)
-        return m, state, report
-
-    converged = False
-    n_iter = 0
-    while n_iter < max_iters:
+        if crit < e_tol or n_iter == max_iters:
+            break
+        if n_iter:
+            sweep.column_update(gt_rho)
         n_iter += 1
-        for r in range(n_aff):
-            y = (rho / a[r]) * g_acol
-            _check_finite_positive(y, r + 1, "scaled kernel image")
-            support, coef = rows[r]
-            lam = root_find(
-                coef, y[support], float(rhs[r]), label=r + 1, x0=lam_cache[r]
-            )
-            lam_cache[r] = lam
-            new = np.exp(lam * system.A[r])
-            rho = rho * (new / a[r])
-            a[r] = new
-            _check_finite_positive(rho, r + 1, "row scaling product")
-        y = (rho / a[n_aff]) * g_acol
-        _check_finite_positive(y, n_aff + 1, "scaled kernel image")
-        new = np.maximum(nu.nu_minus / y, 1.0)
-        rho = rho * (new / a[n_aff])
-        a[n_aff] = new
-        _check_finite_positive(rho, n_aff + 1, "row scaling product")
+        for _ in sweep.row_substeps():
+            pass
+        gt_rho = g.T @ sweep.rho
 
-        row_marg = rho * g_acol
-        gt_rho = g.T @ rho
-        col_marg = a[-1] * gt_rho
-        crit = criterion_from_marginals(row_marg, col_marg)
-        state.iteration = n_iter
-        record(n_iter, crit)
-        if crit < e_tol:
-            converged = True
-            break
-        if n_iter == max_iters:
-            break
-        a[-1] = nu.nu_plus / gt_rho
-        _check_finite_positive(a[-1], n_blocks, "column scaling")
-        g_acol = g @ a[-1]
-
-    m = (rho[:, None] * g) * a[-1][None, :]
-    report = SinkhornReport(converged, n_iter, crit, history)
-    _finalize_report(report, m, state, kernel, system, nu, track_objectives)
-    return m, state, report
-
-
-def _finalize_report(report, m, state, kernel, system, nu, track_objectives):
-    if track_objectives:
-        report.primal_kl = kernel.epsilon * kl_divergence(m, kernel.G)
+    m = sweep.coupling()
+    report = SinkhornReport(crit < e_tol, n_iter, crit, history)
+    if objective_every:
+        report.primal_kl = kernel.epsilon * kl_divergence(m, g)
         report.duality_gap = duality_gap(m, state, kernel, system, nu)
+    return m, state, report
 
 
 def sinkhorn_iterates(
@@ -368,85 +360,21 @@ def sinkhorn_iterates(
 ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
     """Dense couplings M(n, r) for every substep of a fixed number of sweeps.
 
-    Test helper mirroring the Dykstra reference; also returns the scaling
-    vectors after each sweep.
+    Runs the same sweep as :func:`sinkhorn_run` from unit scalings, for
+    comparison with the Dykstra reference; also returns the scaling vectors
+    after each sweep.
     """
     g = kernel.G
-    n = g.shape[0]
-    rows, _ = _affine_rows(system)
-    rhs = _shifted_rhs(system, nu)
-    n_aff = system.n_rows
-    n_blocks = n_aff + 2
-    a = [np.ones(n) for _ in range(n_blocks)]
-    rho = np.ones(n)
-    g_acol = g @ a[-1]
-    lam_cache: list[float | None] = [None] * n_aff
+    sweep = _Sweep(kernel, system, nu)
     couplings: list[list[np.ndarray]] = []
     scalings: list[list[np.ndarray]] = []
     for _ in range(sweeps):
-        per_sweep = []
-        for r in range(n_aff):
-            y = (rho / a[r]) * g_acol
-            support, coef = rows[r]
-            lam = root_find(
-                coef, y[support], float(rhs[r]), label=r + 1, x0=lam_cache[r]
-            )
-            lam_cache[r] = lam
-            new = np.exp(lam * system.A[r])
-            rho = rho * (new / a[r])
-            a[r] = new
-            per_sweep.append((rho[:, None] * g) * a[-1][None, :])
-        y = (rho / a[n_aff]) * g_acol
-        new = np.maximum(nu.nu_minus / y, 1.0)
-        rho = rho * (new / a[n_aff])
-        a[n_aff] = new
-        per_sweep.append((rho[:, None] * g) * a[-1][None, :])
-        a[-1] = nu.nu_plus / (g.T @ rho)
-        g_acol = g @ a[-1]
-        per_sweep.append((rho[:, None] * g) * a[-1][None, :])
+        per_sweep = [sweep.coupling() for _ in sweep.row_substeps()]
+        sweep.column_update(g.T @ sweep.rho)
+        per_sweep.append(sweep.coupling())
         couplings.append(per_sweep)
-        scalings.append([v.copy() for v in a])
+        scalings.append([v.copy() for v in sweep.a])
     return couplings, scalings
-
-
-def dykstra_run(
-    kernel: GibbsKernel, system, nu: JointSignedMeasure, sweeps: int
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Full-matrix Dykstra reference: X(n, r) and the q correction matrices."""
-    g = kernel.G
-    rows, _ = _affine_rows(system)
-    rhs = _shifted_rhs(system, nu)
-    n_aff = system.n_rows
-    n_blocks = n_aff + 2
-    x = g.copy()
-    q = [np.ones_like(g) for _ in range(n_blocks)]
-    lam_cache: list[float | None] = [None] * n_aff
-    couplings: list[list[np.ndarray]] = []
-    q_history: list[list[np.ndarray]] = []
-    for _ in range(sweeps):
-        per_sweep = []
-        for r in range(n_blocks):
-            x_prev = x
-            v = x_prev * q[r]
-            if r < n_aff:
-                support, coef = rows[r]
-                vrow = v.sum(axis=1)
-                lam = root_find(
-                    coef, vrow[support], float(rhs[r]), label=r + 1, x0=lam_cache[r]
-                )
-                lam_cache[r] = lam
-                x = np.exp(lam * system.A[r])[:, None] * v
-            elif r == n_aff:
-                scale = np.maximum(nu.nu_minus / v.sum(axis=1), 1.0)
-                x = scale[:, None] * v
-            else:
-                scale = nu.nu_plus / v.sum(axis=0)
-                x = v * scale[None, :]
-            q[r] = q[r] * x_prev / x
-            per_sweep.append(x.copy())
-        couplings.append(per_sweep)
-        q_history.append([qq.copy() for qq in q])
-    return couplings, q_history
 
 
 def duality_gap(
@@ -466,15 +394,13 @@ def duality_gap(
     the scaling reconstruction skip rebuilding it.
     """
     eps = kernel.epsilon
-    rhs = _shifted_rhs(system, nu)
+    blocks = _Blocks(system, nu)
     n_aff = system.n_rows
     dual = 0.0
-    for r in range(n_aff):
-        support = np.nonzero(system.A[r])[0]
-        coef = system.A[r][support]
+    for r, (support, coef) in enumerate(blocks.rows):
         log_a = np.log(state.scalings[r][support])
         lam = float((coef @ log_a) / (coef @ coef))
-        dual += eps * lam * float(rhs[r])
+        dual += eps * lam * float(blocks.rhs[r])
     u_box = eps * np.log(state.scalings[n_aff])
     if np.any(u_box < -1e-10):
         raise DomainViolationError(
@@ -520,7 +446,7 @@ def epsilon_sweep(
                 e_tol=e_tol,
                 max_iters=max_iters,
                 initial_scalings=warm,
-                track_objectives=False,
+                objective_every=None,
             )
         except InstabilityError as exc:
             entries.append(SweepEntry(eps, None, None, False, error=str(exc)))

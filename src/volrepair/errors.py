@@ -71,8 +71,13 @@ class ProblemTooLargeError(VolRepairError):
 
 
 class SolverError(VolRepairError, ArithmeticError):
-    """The exact simplex stopped without a verdict: iteration cap or a
-    status that cannot occur on a well-posed problem."""
+    """A numerical routine stopped without a trustworthy answer.
+
+    The exact simplex hit its iteration cap or a status that cannot occur on
+    a well-posed problem; a scalar root-find or implied-vol inversion did
+    not converge; or the joint signed measure missed its marginals or
+    constraint system beyond tolerance.
+    """
 
 
 class KmaxTooSmallError(VolRepairError):

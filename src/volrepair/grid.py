@@ -162,17 +162,8 @@ class PathIndexer:
         return theta.strikes[self.all_components()]
 
 
-def distance_matrix(theta: Theta, m: int, metric=None) -> np.ndarray:
-    """Pairwise path distances; Euclidean by default.
-
-    ``metric`` may be a callable mapping an (N, m) array of path points to an
-    (N, N) distance matrix — a hook for other metrics, only Euclidean ships.
-    """
+def distance_matrix(theta: Theta, m: int) -> np.ndarray:
+    """Pairwise Euclidean distances between the paths of Theta^m."""
     pts = PathIndexer(theta.l, m).paths(theta)
-    if metric is not None:
-        d = np.asarray(metric(pts), dtype=float)
-        if d.shape != (pts.shape[0], pts.shape[0]):
-            raise ValueError("metric must return an N x N matrix")
-        return d
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))

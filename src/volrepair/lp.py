@@ -7,7 +7,7 @@ must go through the entropic solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,8 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
-    duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     infeasibility: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 def _bland_simplex(c, a, b, basis, iter_cap=200_000):
@@ -149,13 +147,10 @@ def _solve_standard_form(c, a, b):
         else:
             keep_rows.remove(row)
     if len(keep_rows) < m:
-        rows = np.array(keep_rows)
-        a = a[rows]
-        b = b[rows]
+        a = a[keep_rows]
+        b = b[keep_rows]
         basis = [basis[r] for r in keep_rows]
         m = len(keep_rows)
-    else:
-        rows = None
 
     status, basis, x_b, y, it2 = _bland_simplex(c, a, b, basis)
     iters = it1 + it2
@@ -169,9 +164,7 @@ def _solve_standard_form(c, a, b):
         x=x,
         objective_value=float(c @ x),
         iterations=iters,
-        duals=y,
         reduced_costs=reduced,
-        extra={"kept_rows": rows},
     )
 
 

@@ -21,6 +21,7 @@ from .errors import (
     InvalidPriceError,
     PriceOutOfBandError,
     QuoteParseError,
+    SolverError,
 )
 
 QUOTE_HEADER = ["maturity_years", "strike", "call_mid", "put_mid", "volume"]
@@ -382,7 +383,7 @@ def implied_vol(
     f = bs_call_price(k, sigma, maturity) - price
     if abs(f) <= tol:
         return sigma
-    raise ArithmeticError(
+    raise SolverError(
         f"implied vol did not converge at (k={k}, price={price}, T={maturity})"
     )
 

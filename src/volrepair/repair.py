@@ -40,6 +40,8 @@ from .signed_measure import (
 )
 
 MODES = ("lp_exact", "entropic")
+# entropic history rows carry objective columns every this many sweeps
+HISTORY_OBJECTIVES_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class RepairConfig:
     kmax_margin: float = DEFAULT_KMAX_MARGIN
     shift: float = DEFAULT_SHIFT
     calibration_marks: tuple[tuple[int, int], ...] = ()
-    history_objectives_every: int = 50
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -217,7 +218,7 @@ def repair(surface: NormalizedSurface, config: RepairConfig) -> RepairResult:
             problem.nu,
             e_tol=config.e_tol,
             max_iters=config.max_iters,
-            objective_every=config.history_objectives_every,
+            objective_every=HISTORY_OBJECTIVES_EVERY,
         )
         mu = coupling.sum(axis=1) - problem.nu.nu_minus
         cost = float((coupling * problem.dist).sum())

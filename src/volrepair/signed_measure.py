@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .errors import SolverError
 from .grid import Theta
 
 DEFAULT_SHIFT = 1e-3
@@ -180,12 +181,12 @@ def build_joint(
         got = tensor.sum(axis=axes)
         err = float(np.max(np.abs(got - marg.weights)))
         if err > residual_tol:
-            raise ArithmeticError(
+            raise SolverError(
                 f"joint measure marginal {i + 1} off by {err}"
             )
     sys_err = float(np.max(np.abs(a_joint @ nu - b_joint)))
     if sys_err > residual_tol:
-        raise ArithmeticError(f"joint system residual {sys_err}")
+        raise SolverError(f"joint system residual {sys_err}")
 
     nu_plus, nu_minus = decompose(nu, shift)
     return JointSignedMeasure(nu=nu, nu_plus=nu_plus, nu_minus=nu_minus)

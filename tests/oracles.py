@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: quadrature instead of
 closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
 scipy's LP for dual-side cross-checks, raw pseudo-inverse algebra
-instead of the KKT solve, and the full path-space LP instead of the
-marginal-space detector.
+instead of the KKT solve, the full path-space LP instead of the
+marginal-space detector, and full-matrix Dykstra projections instead of
+the scaling sweep.
 """
 
 from itertools import combinations
@@ -18,6 +19,7 @@ from volrepair.constraints import (
     build_calibrated_system,
     build_martingale_system,
 )
+from volrepair.entropic import root_find
 from volrepair.grid import DEFAULT_KMAX_MARGIN
 
 
@@ -118,3 +120,46 @@ def pathspace_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
     base = build_martingale_system(theta, surface.n_maturities)
     system = build_calibrated_system(base, targets, theta)
     return lp.check_feasibility(system.A, system.b)
+
+
+def dykstra_run(kernel, system, nu, sweeps):
+    """Full-matrix Dykstra reference: X(n, r) and the q correction matrices.
+
+    Iterated Bregman (KL) projections of the whole coupling onto each
+    constraint block in turn, with one multiplicative correction matrix per
+    block (Benamou et al. 2015).
+    """
+    g = kernel.G
+    a = system.A
+    rhs = system.b + a @ nu.nu_minus
+    n_aff = system.n_rows
+    n_blocks = n_aff + 2
+    x = g.copy()
+    q = [np.ones_like(g) for _ in range(n_blocks)]
+    lam_cache = [None] * n_aff
+    couplings, q_history = [], []
+    for _ in range(sweeps):
+        per_sweep = []
+        for r in range(n_blocks):
+            x_prev = x
+            v = x_prev * q[r]
+            if r < n_aff:
+                support = np.nonzero(a[r])[0]
+                vrow = v.sum(axis=1)
+                lam = root_find(
+                    a[r][support], vrow[support], float(rhs[r]), label=r + 1,
+                    x0=lam_cache[r],
+                )
+                lam_cache[r] = lam
+                x = np.exp(lam * a[r])[:, None] * v
+            elif r == n_aff:
+                scale = np.maximum(nu.nu_minus / v.sum(axis=1), 1.0)
+                x = scale[:, None] * v
+            else:
+                scale = nu.nu_plus / v.sum(axis=0)
+                x = v * scale[None, :]
+            q[r] = q[r] * x_prev / x
+            per_sweep.append(x.copy())
+        couplings.append(per_sweep)
+        q_history.append([qq.copy() for qq in q])
+    return couplings, q_history

@@ -21,7 +21,6 @@ from volrepair.constraints import (
 )
 from volrepair.entropic import (
     duality_gap,
-    dykstra_run,
     entropy,
     epsilon_sweep,
     gibbs_kernel,
@@ -46,7 +45,7 @@ from conftest import (
     prepared,
     random_instance,
 )
-from oracles import vertex_enumeration_lp
+from oracles import dykstra_run, vertex_enumeration_lp
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_repair_value.json"
 

@@ -147,6 +147,19 @@ class TestRepair:
         assert history[0] == "n,substep,E,primal_kl,duality_gap"
         assert len(history) > 2
 
+    def test_not_converged_exit_three(self, clean_csv, atm_scenario, tmp_path):
+        out = tmp_path / "rep_nc"
+        code = main(
+            ["repair", str(clean_csv), "--scenario", str(atm_scenario),
+             "--mode", "entropic", "--max-iters", "5", "--out", str(out)]
+        )
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["diagnostics"]["converged"] is False
+        assert report["diagnostics"]["iterations"] == 5
+        assert (out / "repaired_surface.csv").exists()
+        assert (out / "manifest.json").exists()
+
     def test_invalid_calibration_exit_one(self, tmp_path):
         # marks select an arbitrageable pair: increasing prices in strike
         surface = make_surface([0.16], [[0.9, 1.0, 1.1]], [lambda k: 0.2])

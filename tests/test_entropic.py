@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volrepair.entropic import (
-    dykstra_run,
     duality_gap,
     entropy,
     epsilon_sweep,
@@ -15,10 +15,11 @@ from volrepair.entropic import (
     sinkhorn_run,
     stopping_criterion,
 )
-from volrepair.errors import InstabilityError
+from volrepair.errors import InstabilityError, SolverError
 from volrepair.lp import solve_p_prime
 
 from conftest import prepared, random_instance
+from oracles import dykstra_run
 
 
 class TestGibbsKernel:
@@ -104,6 +105,14 @@ class TestRootFind:
     def test_unreachable_rhs_raises_instability(self):
         # positive row, negative rhs: no root; expansion must hit the cap
         with pytest.raises(InstabilityError):
+            root_find(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
+
+    def test_no_convergence_is_solver_error(self, monkeypatch):
+        # without the exponent cap the same search runs out of steps
+        import volrepair.entropic as ent
+
+        monkeypatch.setattr(ent, "SAFE_EXPONENT", np.inf)
+        with pytest.raises(SolverError, match="failed to converge"):
             root_find(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
 
 
@@ -234,7 +243,7 @@ class TestSinkhornRun:
             e_tol=0.0,
             max_iters=1,
             initial_scalings=before,
-            track_objectives=False,
+            objective_every=None,
         )
         for v1, v2 in zip(before, state2.scalings):
             assert np.max(np.abs(v2 / v1 - 1.0)) <= 1e-10
@@ -247,6 +256,37 @@ class TestSinkhornRun:
         )
         assert report.converged
         assert stopping_criterion(m, prob.system, prob.nu) <= 1e-10
+
+
+class TestSingleSweep:
+    """The solver loop and the iterates C1 checks run one and the same sweep."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 2),
+        eps=st.sampled_from([0.5, 1.0]),
+        k=st.integers(1, 12),
+        every=st.integers(1, 5),
+    )
+    def test_run_matches_iterates_bitwise(self, seed, m, eps, k, every):
+        prob = prepared(random_instance(np.random.default_rng(seed), m=m, max_interior=3))
+        kern = gibbs_kernel(prob.dist, eps)
+        coupling, state, report = sinkhorn_run(
+            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=every
+        )
+        couplings, scalings = sinkhorn_iterates(kern, prob.system, prob.nu, k)
+        n_aff = prob.system.n_rows
+        # the run stops at the (k, R-1) iterate, before the column substep
+        assert np.array_equal(coupling, couplings[k - 1][n_aff])
+        for got, want in zip(state.scalings[:-1], scalings[k - 1][:-1]):
+            assert np.array_equal(got, want)
+        assert report.iterations == k and not report.converged
+        assert [h["n"] for h in report.history] == list(range(k + 1))
+        for h in report.history:
+            on_stride = h["n"] % every == 0
+            assert ("primal_kl" in h) == on_stride
+            assert ("duality_gap" in h) == on_stride
 
 
 class TestStoppingCriterion:

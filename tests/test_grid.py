@@ -154,17 +154,3 @@ class TestDistanceMatrix:
         idx = rng.integers(0, n, size=(60, 3))
         for a, b, c in idx:
             assert d[a, c] <= d[a, b] + d[b, c] + 1e-12
-
-    def test_custom_metric_hook(self):
-        theta = Theta(np.array([0.0, 1.0, 2.0]))
-
-        def manhattan(pts):
-            return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-
-        d = distance_matrix(theta, 2, metric=manhattan)
-        ix = PathIndexer(3, 2)
-        p_a = ix.encode((1, 2)) - 1
-        p_b = ix.encode((2, 3)) - 1
-        assert d[p_a, p_b] == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            distance_matrix(theta, 2, metric=lambda pts: np.zeros(3))

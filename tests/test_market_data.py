@@ -7,6 +7,7 @@ from volrepair.errors import (
     InsufficientDataError,
     PriceOutOfBandError,
     QuoteParseError,
+    SolverError,
 )
 from volrepair.market_data import (
     MarketCurve,
@@ -193,6 +194,12 @@ class TestImpliedVol:
         assert err.value.bound_value == pytest.approx(0.5)
         with pytest.raises(PriceOutOfBandError):
             implied_vol(1.2, 1.0, 1.0)
+
+    def test_no_convergence_is_solver_error(self):
+        # no double sits exactly on this price: a zero tolerance exhausts
+        # the iteration budget
+        with pytest.raises(SolverError, match="did not converge"):
+            implied_vol(1.0, 0.05, 0.25, tol=0.0)
 
     def test_atm_expansion(self):
         sigma = implied_vol(1.0, 0.0797884, 1.0)

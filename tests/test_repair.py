@@ -138,7 +138,7 @@ class TestRepairPipeline:
                 e_tol=1e-9,
                 max_iters=400_000,
                 initial_scalings=warm,
-                track_objectives=False,
+                objective_every=None,
             )
             assert rep.converged, f"no convergence at eps={eps}"
             warm = [v.copy() for v in state.scalings]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from volrepair import lp
 from volrepair.constraints import build_joint_system, build_martingale_system
+from volrepair.errors import SolverError
 from volrepair.grid import Theta
 from volrepair.signed_measure import (
     JointSignedMeasure,
@@ -225,3 +227,37 @@ class TestBuildJoint:
             candidate = prob.nu.nu + null_step
             d_cand = float(np.sum((candidate - target) ** 2))
             assert d_opt <= d_cand + 1e-12
+
+    @staticmethod
+    def _two_period_problem():
+        prob = prepared(random_instance(np.random.default_rng(59), m=2, max_interior=2))
+        return prob, build_joint_system(prob.base_system, prob.marginals)
+
+    def test_marginal_residual_is_solver_error(self, monkeypatch):
+        prob, system = self._two_period_problem()
+        exact = lp.solve_eq_lsq
+
+        def off_by_mass(a, b, target):
+            nu = exact(a, b, target)
+            nu[0] += 1e-6  # first marginal gains mass
+            return nu
+
+        monkeypatch.setattr(lp, "solve_eq_lsq", off_by_mass)
+        with pytest.raises(SolverError, match="marginal 1"):
+            build_joint(prob.marginals, system)
+
+    def test_system_residual_is_solver_error(self, monkeypatch):
+        prob, system = self._two_period_problem()
+        l = prob.theta.l  # noqa: E741
+        exact = lp.solve_eq_lsq
+        # (e_1 - e_2) x (e_1 - e_2): zero marginals, nonzero martingale rows
+        swap = np.zeros((l, l))
+        swap[1, 1] = swap[2, 2] = 1e-6
+        swap[1, 2] = swap[2, 1] = -1e-6
+
+        def off_martingale(a, b, target):
+            return exact(a, b, target) + swap.reshape(-1)
+
+        monkeypatch.setattr(lp, "solve_eq_lsq", off_martingale)
+        with pytest.raises(SolverError, match="joint system residual"):
+            build_joint(prob.marginals, system)
