@@ -18,6 +18,7 @@ from . import __version__
 from .constraints import detect_arbitrage
 from .entropic import epsilon_sweep
 from .errors import InvalidConfigError, ProblemTooLargeError, VolRepairError
+from .grid import extract_marginal
 from .lp import solve_p_prime
 from .market_data import (
     NormalizedSurface,
@@ -34,7 +35,7 @@ from .repair import RepairConfig, prepare_projection, repair
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ARBITRAGE = 2
-EXIT_NOT_CONVERGED = 3  # entropic repair stopped at max_iters; outputs written
+EXIT_NOT_CONVERGED = 3  # no entropic solve converged within max_iters; outputs written
 
 CONFIG_FIELDS = ("mode", "epsilon", "e_tol", "max_iters", "kmax_margin", "shift")
 
@@ -158,8 +159,6 @@ def _smiles_csv(
 
 
 def _marginals_csv(result, problem) -> str:
-    from .repair import extract_marginal
-
     theta = result.theta
     m = problem.m
     lines = ["period,theta_k,mu_weight,nu_plus,nu_minus"]
@@ -288,7 +287,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("sweep.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "sweep", args)
-    return EXIT_OK
+    return EXIT_OK if any(e.converged for e in entries) else EXIT_NOT_CONVERGED
 
 
 def build_parser() -> argparse.ArgumentParser:

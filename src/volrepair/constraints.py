@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import DegenerateCalibrationError, DuplicateConstraintError, RankError
+from .errors import DegenerateCalibrationError, DuplicateConstraintError
 from .grid import (
     CalibrationTarget,
     DEFAULT_KMAX_MARGIN,
@@ -32,8 +32,6 @@ from .grid import (
 )
 from .market_data import NormalizedSurface
 from .signed_measure import SignedMarginal
-
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -173,30 +171,15 @@ def build_calibrated_system(
     )
 
 
-def _independent_rows(a: np.ndarray, tol: float = RANK_TOL) -> list[int]:
-    """First maximal independent row subset by modified Gram-Schmidt."""
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for r in range(a.shape[0]):
-        v = a[r].astype(float)
-        norm0 = np.linalg.norm(v)
-        for _ in range(2):  # re-orthogonalize for stability
-            for q in basis:
-                v = v - (q @ v) * q
-        if np.linalg.norm(v) > tol * max(1.0, norm0):
-            basis.append(v / np.linalg.norm(v))
-            kept.append(r)
-    return kept
-
-
 def build_joint_system(
     base: ConstraintSystem, marginals: list[SignedMarginal]
 ) -> ConstraintSystem:
-    """Martingality plus marginal-fixing rows, reduced to full row rank.
+    """Martingality plus marginal-fixing rows, stacked as they are.
 
     Mass and centering rows are dropped (implied by the marginal rows since
-    each signed marginal has unit mass and unit mean); remaining dependent
-    rows are removed numerically, keeping the first independent subset.
+    each signed marginal has unit mass and unit mean). The remaining rows
+    are still linearly dependent for m >= 2; the least-squares lift in
+    :func:`~volrepair.signed_measure.build_joint` does not need them reduced.
     """
     theta, m = base.theta, base.m
     l = theta.l  # noqa: E741
@@ -213,19 +196,13 @@ def build_joint_system(
             rows.append((idx[:, i] == p_i).astype(float))
             rhs.append(float(marg.weights[p_i]))
             kinds.append(("marginal", i + 1, p_i + 1))
-    a = np.array(rows)
-    b = np.array(rhs)
-    kept = _independent_rows(a)
-    system = ConstraintSystem(
-        A=a[kept],
-        b=b[kept],
-        row_kinds=tuple(kinds[r] for r in kept),
+    return ConstraintSystem(
+        A=np.array(rows),
+        b=np.array(rhs),
+        row_kinds=tuple(kinds),
         theta=theta,
         m=m,
     )
-    if np.linalg.matrix_rank(system.A, tol=RANK_TOL) != system.n_rows:
-        raise RankError("joint system reduction failed to reach full row rank")
-    return system
 
 
 def _smile_violations(surface: NormalizedSurface, tol: float) -> list[Violation]:

@@ -58,10 +58,6 @@ class DuplicateConstraintError(VolRepairError):
     """The same calibration node was supplied twice."""
 
 
-class RankError(VolRepairError):
-    """A linear system expected to have full row rank does not."""
-
-
 class SingularSystemError(VolRepairError):
     """A direct linear solve failed on a singular matrix."""
 
@@ -76,7 +72,8 @@ class SolverError(VolRepairError, ArithmeticError):
     The exact simplex hit its iteration cap or a status that cannot occur on
     a well-posed problem; a scalar root-find or implied-vol inversion did
     not converge; or the joint signed measure missed its marginals or
-    constraint system beyond tolerance.
+    constraint system beyond tolerance, or its least-squares lift met an
+    inconsistent system.
     """
 
 

@@ -1,4 +1,4 @@
-"""Common strike grid, path indexing on its m-fold product, and distances."""
+"""Common strike grid, path indexing on its m-fold product, marginals, distances."""
 
 from __future__ import annotations
 
@@ -160,6 +160,15 @@ class PathIndexer:
     def paths(self, theta: Theta) -> np.ndarray:
         """(N, m) array of strike values along each path."""
         return theta.strikes[self.all_components()]
+
+
+def extract_marginal(mu: np.ndarray, l: int, m: int, period: int) -> np.ndarray:  # noqa: E741
+    """Sum the path-space measure over every index except the given period."""
+    if not 1 <= period <= m:
+        raise IndexError(f"period {period} outside [1, {m}]")
+    tensor = np.asarray(mu, dtype=float).reshape((l,) * m)
+    axes = tuple(ax for ax in range(m) if ax != period - 1)
+    return tensor.sum(axis=axes) if axes else tensor
 
 
 def distance_matrix(theta: Theta, m: int) -> np.ndarray:

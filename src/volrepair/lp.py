@@ -1,4 +1,4 @@
-"""Exact small-scale solvers: dense simplex, coupling LP, KKT least squares.
+"""Exact small-scale solvers: dense simplex, coupling LP, constrained least squares.
 
 The simplex here is a baseline and test oracle, not a production path: it is
 deterministic (Bland's rule), dense, and capped in size. Larger instances
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     KmaxTooSmallError,
     ProblemTooLargeError,
-    RankError,
     SingularSystemError,
     SolverError,
 )
@@ -27,33 +26,23 @@ _FEAS_TOL = 1e-9  # phase-1 objective below this counts as feasible
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x  s.t.  eq_matrix x = eq_rhs, x >= lower_bounds.
-
-    Lower bounds may be -inf for free variables; no upper bounds.
-    """
+    """min objective . x  s.t.  eq_matrix x = eq_rhs, x >= 0."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    lower_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         a = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
         b = np.asarray(self.eq_rhs, dtype=float)
-        lb = (
-            np.zeros(c.size)
-            if self.lower_bounds is None
-            else np.asarray(self.lower_bounds, dtype=float)
-        )
-        if a.shape != (b.size, c.size) or lb.size != c.size:
+        if a.shape != (b.size, c.size):
             raise ValueError(
                 f"inconsistent LP dimensions: A{a.shape}, b({b.size}), c({c.size})"
             )
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "lower_bounds", lb)
 
     @property
     def n_vars(self) -> int:
@@ -169,39 +158,13 @@ def _solve_standard_form(c, a, b):
 
 
 def solve_lp(problem: LpProblem, var_cap: int = DEFAULT_VAR_CAP) -> LpSolution:
-    """Solve an LpProblem; free variables are split, finite bounds shifted."""
+    """Solve an LpProblem by the two-phase simplex, under a variable cap."""
     if problem.n_vars > var_cap:
         raise ProblemTooLargeError(
             f"{problem.n_vars} variables exceed the exact-path cap {var_cap}; "
             "use the entropic solver"
         )
-    c, a, b, lb = (
-        problem.objective,
-        problem.eq_matrix,
-        problem.eq_rhs,
-        problem.lower_bounds,
-    )
-    free = ~np.isfinite(lb)
-    shift = np.where(free, 0.0, lb)
-    b_eff = b - a @ shift
-    if free.any():
-        a_std = np.hstack([a, -a[:, free]])
-        c_std = np.concatenate([c, -c[free]])
-    else:
-        a_std = a
-        c_std = c
-    sol = _solve_standard_form(c_std, a_std, b_eff)
-    if sol.status != "optimal":
-        return sol
-    y = sol.x
-    x = y[: problem.n_vars].copy()
-    if free.any():
-        x[free] -= y[problem.n_vars :]
-    x += shift
-    sol.x = x
-    sol.objective_value = float(c @ x)
-    sol.reduced_costs = sol.reduced_costs[: problem.n_vars]
-    return sol
+    return _solve_standard_form(problem.objective, problem.eq_matrix, problem.eq_rhs)
 
 
 def check_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
@@ -262,24 +225,22 @@ def solve_p_prime(
 
 
 def solve_eq_lsq(a: np.ndarray, b: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """min ||x - target||^2 s.t. a x = b via the symmetric KKT system."""
+    """min ||x - target||^2 s.t. a x = b, for a consistent system.
+
+    The answer is target plus the minimum-norm solution of
+    a d = b - a target, which does not depend on how the rows are written,
+    so dependent rows need no special handling.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
     target = np.asarray(target, dtype=float)
-    n_rows, n = a.shape
-    kkt = np.zeros((n + n_rows, n + n_rows))
-    kkt[:n, :n] = np.eye(n)
-    kkt[:n, n:] = a.T
-    kkt[n:, :n] = a
-    rhs = np.concatenate([target, b])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("singular KKT system") from exc
-    x = sol[:n]
-    residual = float(np.max(np.abs(a @ x - b))) if n_rows else 0.0
-    if residual > 1e-10 * max(1.0, float(np.max(np.abs(b))) if n_rows else 1.0):
-        raise RankError(
-            f"KKT solve left residual {residual}; constraint matrix likely rank deficient"
+    if not a.shape[0]:
+        return target.copy()
+    delta = np.linalg.lstsq(a, b - a @ target, rcond=None)[0]
+    x = target + delta
+    residual = float(np.max(np.abs(a @ x - b)))
+    if residual > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
+        raise SolverError(
+            f"least-squares lift left residual {residual}; the system is inconsistent"
         )
     return x

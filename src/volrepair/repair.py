@@ -29,6 +29,7 @@ from .grid import (
     build_theta,
     choose_kmax,
     distance_matrix,
+    extract_marginal,
 )
 from .market_data import NormalizedSurface, surface_vols
 from .signed_measure import (
@@ -160,15 +161,6 @@ def prepare_projection(
         calibration=targets,
         k_max=k_max,
     )
-
-
-def extract_marginal(mu: np.ndarray, l: int, m: int, period: int) -> np.ndarray:  # noqa: E741
-    """Sum the path-space measure over every index except the given period."""
-    if not 1 <= period <= m:
-        raise IndexError(f"period {period} outside [1, {m}]")
-    tensor = np.asarray(mu, dtype=float).reshape((l,) * m)
-    axes = tuple(ax for ax in range(m) if ax != period - 1)
-    return tensor.sum(axis=axes) if axes else tensor
 
 
 def price_from_marginal(weights: np.ndarray, strikes: np.ndarray, k: float) -> float:

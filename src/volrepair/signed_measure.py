@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lp
 from .errors import SolverError
-from .grid import Theta
+from .grid import Theta, extract_marginal
 
 DEFAULT_SHIFT = 1e-3
 
@@ -163,10 +163,10 @@ def build_joint(
 ) -> JointSignedMeasure:
     """Signed martingale with the given marginals, closest to their product.
 
-    ``system`` is the reduced joint constraint system (anything exposing
-    full-row-rank ``A`` and ``b``). Solves the equality-constrained least
-    squares against the product measure through the KKT system, then
-    applies the positive split.
+    ``system`` is the joint constraint system (anything exposing ``A`` and
+    ``b``); its rows may be linearly dependent. The product measure is
+    moved onto the system by the minimum-norm correction
+    (:func:`~volrepair.lp.solve_eq_lsq`), then split into positive parts.
     """
     a_joint = np.atleast_2d(np.asarray(system.A, dtype=float))
     b_joint = np.asarray(system.b, dtype=float)
@@ -175,11 +175,8 @@ def build_joint(
 
     l = marginals[0].theta.l  # noqa: E741
     m = len(marginals)
-    tensor = nu.reshape((l,) * m)
     for i, marg in enumerate(marginals):
-        axes = tuple(ax for ax in range(m) if ax != i)
-        got = tensor.sum(axis=axes)
-        err = float(np.max(np.abs(got - marg.weights)))
+        err = float(np.max(np.abs(extract_marginal(nu, l, m, i + 1) - marg.weights)))
         if err > residual_tol:
             raise SolverError(
                 f"joint measure marginal {i + 1} off by {err}"

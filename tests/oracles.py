@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: quadrature instead of
 closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
-scipy's LP for dual-side cross-checks, raw pseudo-inverse algebra
-instead of the KKT solve, the full path-space LP instead of the
+scipy's LP for dual-side cross-checks, a solve on the Gram matrix A A^T
+instead of the least-squares lift, the full path-space LP instead of the
 marginal-space detector, and full-matrix Dykstra projections instead of
 the scaling sweep.
 """

@@ -217,6 +217,18 @@ class TestSweep:
         assert len(rows) == 1 + 3 + 1
         assert rows[-1].startswith("lp,")
 
+    def test_none_converged_exit_three(self, clean_csv, tmp_path):
+        out = tmp_path / "sw_nc"
+        code = main(
+            ["sweep", str(clean_csv), "--eps-list", "1,0.5", "--max-iters", "5",
+             "--e-tol", "1e-9", "--out", str(out)]
+        )
+        assert code == 3
+        rows = (out / "sweep.csv").read_text().strip().split("\n")
+        assert [r.split(",")[4] for r in rows[1:3]] == ["0", "0"]
+        assert rows[-1].startswith("lp,")
+        assert (out / "manifest.json").exists()
+
     def test_empty_eps_list_errors(self, clean_csv, tmp_path):
         code = main(
             ["sweep", str(clean_csv), "--eps-list", ",", "--out", str(tmp_path / "x")]

@@ -152,23 +152,6 @@ class TestJointSystem:
         assert all(kind[0] == "marginal" for kind in system.row_kinds)
         np.testing.assert_allclose(sorted(system.b), sorted(marg.weights))
 
-    def test_m2_l3_redundancy_removed(self):
-        theta = Theta(np.array([0.0, 1.0, 2.0]))
-        base = build_martingale_system(theta, 2)
-        marg = marginal_weights([0.0, 1.0, 2.0], [1.0, 0.25, 0.0], theta)
-        system = build_joint_system(base, [marg, marg])
-        # raw stack: 3 martingality + 6 marginal rows; dependencies drop 2
-        assert system.n_rows == 7
-        assert system.n_rows < base.n_rows + 2 * 3
-        assert np.linalg.matrix_rank(system.A, tol=1e-10) == system.n_rows
-
-    def test_full_row_rank_matches_numpy_oracle(self):
-        rng = np.random.default_rng(59)
-        surface = random_instance(rng, m=2, max_interior=3)
-        prob = prepared(surface)
-        system = build_joint_system(prob.base_system, prob.marginals)
-        assert np.linalg.matrix_rank(system.A, tol=1e-10) == system.n_rows
-
 
 class TestDetector:
     def test_clean_surface_passes(self, desk_surface):

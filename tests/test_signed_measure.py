@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volrepair import lp
 from volrepair.constraints import build_joint_system, build_martingale_system
 from volrepair.errors import SolverError
-from volrepair.grid import Theta
+from volrepair.grid import Theta, extract_marginal
+from volrepair.market_data import StressScenario, apply_stress
 from volrepair.signed_measure import (
     JointSignedMeasure,
     build_joint,
@@ -16,7 +18,7 @@ from volrepair.signed_measure import (
     product_target,
 )
 
-from conftest import prepared, random_instance
+from conftest import make_surface, prepared, random_instance
 from oracles import projection_formula
 
 
@@ -227,6 +229,39 @@ class TestBuildJoint:
             candidate = prob.nu.nu + null_step
             d_cand = float(np.sum((candidate - target) ** 2))
             assert d_opt <= d_cand + 1e-12
+
+    @staticmethod
+    def _assert_lift(prob):
+        """nu is the projection of the product, carries the marginals and
+        satisfies every martingality row."""
+        l, m = prob.theta.l, prob.m  # noqa: E741
+        system = build_joint_system(prob.base_system, prob.marginals)
+        joint = build_joint(prob.marginals, system)
+        want = projection_formula(system.A, system.b, product_target(prob.marginals))
+        np.testing.assert_allclose(joint.nu, want, atol=1e-9)
+        for i, marg in enumerate(prob.marginals):
+            got = extract_marginal(joint.nu, l, m, i + 1)
+            np.testing.assert_allclose(got, marg.weights, atol=1e-9)
+        base = prob.base_system
+        mart = [r for r, kind in enumerate(base.row_kinds) if kind[0] == "martingality"]
+        np.testing.assert_allclose(base.A[mart] @ joint.nu, 0.0, atol=1e-9)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(1, 2))
+    def test_lift_on_random_instances(self, seed, m):
+        self._assert_lift(prepared(random_instance(np.random.default_rng(seed), m=m)))
+
+    def test_lift_three_periods(self):
+        ks = [0.9, 1.0, 1.1, 1.2]
+        surface = make_surface(
+            [0.25, 0.5, 1.0],
+            [ks] * 3,
+            [(lambda s: (lambda k: 0.2 + s + 0.3 * (k - 1) ** 2))(0.03 * i) for i in range(3)],
+        )
+        scen = StressScenario(bands={i: (((0.99, 1.01), 1.4),) for i in range(3)})
+        prob = prepared(apply_stress(surface, scen))
+        assert prob.theta.l**3 == 216
+        self._assert_lift(prob)
 
     @staticmethod
     def _two_period_problem():
