@@ -54,7 +54,6 @@ from .signed_measure import (
     check_lemma_identity,
     decompose,
     marginal_weights,
-    measure_to_csv,
     pricing_function,
 )
 

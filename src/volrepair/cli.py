@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import __version__
 from .constraints import detect_arbitrage
 from .entropic import epsilon_sweep
 from .errors import InvalidConfigError, ProblemTooLargeError, VolRepairError
-from .grid import extract_marginal
+from .grid import PathIndexer, Theta, extract_marginal
 from .lp import solve_p_prime
 from .market_data import (
     NormalizedSurface,
@@ -27,7 +28,6 @@ from .market_data import (
     fit_curve,
     normalize,
     parse_quotes,
-    surface_to_csv,
     surface_vols,
 )
 from .repair import RepairConfig, prepare_projection, repair
@@ -78,32 +78,93 @@ def _build_config(args, marks) -> RepairConfig:
         raise InvalidConfigError(str(exc)) from exc
 
 
-def _write_manifest(out_dir: Path, command: str, args) -> None:
+def _cell(value) -> str:
+    """One CSV cell: empty for None or NaN, ints and text as they are, and
+    any other number to 12 significant digits."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(value, ".12g")
+
+
+def _csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _surface_rows(surface: NormalizedSurface, vols) -> list[tuple]:
+    """``(maturity, k, c, vol)`` per node, maturity-major."""
+    return [
+        (t, k, c, v)
+        for i, t in enumerate(surface.maturities)
+        for k, c, v in zip(surface.strikes[i], surface.prices[i], vols[i])
+    ]
+
+
+def _surface_csv(surface: NormalizedSurface, vols) -> str:
+    return _csv(("maturity_years", "k", "c", "vol"), _surface_rows(surface, vols))
+
+
+def _smiles_csv(surfaces, vols) -> str:
+    """Before, stressed and repaired prices and vols side by side per node."""
+    header = ("maturity_years", "k", "c_before", "vol_before", "c_stressed",
+              "vol_stressed", "c_repaired", "vol_repaired")
+    rows = []
+    for nodes in zip(*map(_surface_rows, surfaces, vols)):
+        rows.append(nodes[0][:2] + tuple(x for node in nodes for x in node[2:]))
+    return _csv(header, rows)
+
+
+def _marginals_csv(result) -> str:
+    theta, m, nu = result.theta, result.problem.m, result.problem.nu
+    rows = []
+    for i in range(1, m + 1):
+        cols = [
+            extract_marginal(w, theta.l, m, i)
+            for w in (result.mu, nu.nu_plus, nu.nu_minus)
+        ]
+        rows += [(i, k, *weights) for k, *weights in zip(theta.strikes, *cols)]
+    return _csv(("period", "theta_k", "mu_weight", "nu_plus", "nu_minus"), rows)
+
+
+def _measure_csv(theta: Theta, m: int, weights) -> str:
+    """A path-space measure as ``path_index,k_1,...,k_m,weight``."""
+    header = ("path_index", *(f"k_{i}" for i in range(1, m + 1)), "weight")
+    paths = PathIndexer(theta.l, m).paths(theta)
+    rows = [(p, *x, w) for p, (x, w) in enumerate(zip(paths, weights), start=1)]
+    return _csv(header, rows)
+
+
+def _history_csv(history: list[dict]) -> str:
+    rows = [
+        (r["n"], r["substep"], r["criterion"], r.get("primal_kl"), r.get("duality_gap"))
+        for r in history
+    ]
+    return _csv(("n", "substep", "E", "primal_kl", "duality_gap"), rows)
+
+
+def _write_outputs(args, files: dict[str, str]) -> None:
+    """Write the command's files and its manifest echo into ``args.out``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        out.joinpath(name).write_text(text)
     manifest = {
-        "command": command,
+        "command": args.command,
         "input": args.input,
         "scenario": getattr(args, "scenario", None),
         "calibration": getattr(args, "calibration", None),
         "config": {
             k: getattr(args, k, None) for k in CONFIG_FIELDS + ("eps_list",)
         },
-        "out_dir": str(out_dir),
+        "out_dir": str(out),
         "tool_version": __version__,
         "determinism": "outputs are a pure function of this manifest",
     }
-    out_dir.joinpath("manifest.json").write_text(
+    out.joinpath("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _vols_csv(surface: NormalizedSurface) -> str:
-    vols = surface_vols(surface)
-    lines = ["maturity_years,k,vol"]
-    for i, t in enumerate(surface.maturities):
-        for k, v in zip(surface.strikes[i], vols[i]):
-            vtxt = "" if np.isnan(v) else f"{v:.12g}"
-            lines.append(f"{t:.12g},{float(k):.12g},{vtxt}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_check(args) -> int:
@@ -111,10 +172,7 @@ def cmd_check(args) -> int:
     report = detect_arbitrage(surface)
     payload = json.dumps(report.to_json_dict(surface), indent=2, sort_keys=True) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        out.joinpath("check_report.json").write_text(payload)
-        _write_manifest(out, "check", args)
+        _write_outputs(args, {"check_report.json": payload})
     else:
         sys.stdout.write(payload)
     return EXIT_OK if report.feasible else EXIT_ARBITRAGE
@@ -131,61 +189,13 @@ def cmd_stress(args) -> int:
                     f"warning: band [{lo}, {hi}] on maturity {i} matches no strikes\n"
                 )
     stressed = apply_stress(surface, scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    out.joinpath("stressed_surface.csv").write_text(surface_to_csv(stressed))
-    out.joinpath("stressed_vols.csv").write_text(_vols_csv(stressed))
-    _write_manifest(out, "stress", args)
+    vols = surface_vols(stressed)
+    vol_rows = [(t, k, v) for t, k, _, v in _surface_rows(stressed, vols)]
+    _write_outputs(args, {
+        "stressed_surface.csv": _surface_csv(stressed, vols),
+        "stressed_vols.csv": _csv(("maturity_years", "k", "vol"), vol_rows),
+    })
     return EXIT_OK
-
-
-def _smiles_csv(
-    base: NormalizedSurface, stressed: NormalizedSurface, repaired: NormalizedSurface
-) -> str:
-    tables = [surface_vols(s) for s in (base, stressed, repaired)]
-    lines = [
-        "maturity_years,k,c_before,vol_before,c_stressed,vol_stressed,"
-        "c_repaired,vol_repaired"
-    ]
-    for i, t in enumerate(base.maturities):
-        for j, k in enumerate(base.strikes[i]):
-            cells = [f"{t:.12g}", f"{float(k):.12g}"]
-            for surf, vols in zip((base, stressed, repaired), tables):
-                v = vols[i][j]
-                cells.append(f"{float(surf.prices[i][j]):.12g}")
-                cells.append("" if np.isnan(v) else f"{v:.12g}")
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _marginals_csv(result, problem) -> str:
-    theta = result.theta
-    m = problem.m
-    lines = ["period,theta_k,mu_weight,nu_plus,nu_minus"]
-    nu = problem.nu
-    for i in range(m):
-        mu_i = extract_marginal(result.mu, theta.l, m, i + 1)
-        plus_i = extract_marginal(nu.nu_plus, theta.l, m, i + 1)
-        minus_i = extract_marginal(nu.nu_minus, theta.l, m, i + 1)
-        for j, k in enumerate(theta.strikes):
-            lines.append(
-                f"{i + 1},{float(k):.12g},{mu_i[j]:.12g},"
-                f"{plus_i[j]:.12g},{minus_i[j]:.12g}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _history_csv(history: list[dict]) -> str:
-    lines = ["n,substep,E,primal_kl,duality_gap"]
-    for row in history:
-        primal = row.get("primal_kl")
-        gap = row.get("duality_gap")
-        lines.append(
-            f"{row['n']},{row['substep']},{row['criterion']:.12g},"
-            f"{'' if primal is None else format(primal, '.12g')},"
-            f"{'' if gap is None else format(gap, '.12g')}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def cmd_repair(args) -> int:
@@ -204,43 +214,36 @@ def cmd_repair(args) -> int:
     config = _build_config(args, marks)
     result = repair(stressed, config)
     problem = result.problem
+    repaired = result.repaired_surface
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    out.joinpath("repaired_surface.csv").write_text(
-        surface_to_csv(result.repaired_surface)
-    )
-    out.joinpath("smiles.csv").write_text(
-        _smiles_csv(base, stressed, result.repaired_surface)
-    )
-    out.joinpath("marginals.csv").write_text(_marginals_csv(result, problem))
-    from .signed_measure import measure_to_csv
-
-    out.joinpath("mu_measure.csv").write_text(
-        measure_to_csv(result.theta, problem.m, result.mu)
-    )
-    out.joinpath("nu_measure.csv").write_text(
-        measure_to_csv(result.theta, problem.m, problem.nu.nu)
-    )
+    base_vols = surface_vols(base)
+    stressed_vols = base_vols if stressed is base else surface_vols(stressed)
+    repaired_vols = surface_vols(repaired)
+    files = {
+        "repaired_surface.csv": _surface_csv(repaired, repaired_vols),
+        "smiles.csv": _smiles_csv(
+            (base, stressed, repaired), (base_vols, stressed_vols, repaired_vols)
+        ),
+        "marginals.csv": _marginals_csv(result),
+        "mu_measure.csv": _measure_csv(result.theta, problem.m, result.mu),
+        "nu_measure.csv": _measure_csv(result.theta, problem.m, problem.nu.nu),
+    }
     history = result.diagnostics.get("history")
     if history:
-        out.joinpath("history.csv").write_text(_history_csv(history))
+        files["history.csv"] = _history_csv(history)
     report = {
         "transport_cost": result.transport_cost,
         "feasible_before": result.report_before.feasible,
         "feasible_after": result.report_after.feasible,
         "violations_before": result.report_before.to_json_dict(stressed)["violations"],
-        "violations_after": result.report_after.to_json_dict(
-            result.repaired_surface
-        )["violations"],
+        "violations_after": result.report_after.to_json_dict(repaired)["violations"],
         "diagnostics": {
             k: v for k, v in result.diagnostics.items() if k != "history"
         },
     }
-    out.joinpath("report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
-    )
-    _write_manifest(out, "repair", args)
+    text = json.dumps(report, indent=2, sort_keys=True, default=float)
+    files["report.json"] = text + "\n"
+    _write_outputs(args, files)
     if result.diagnostics.get("converged") is False:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -264,14 +267,10 @@ def cmd_sweep(args) -> int:
         e_tol=config.e_tol,
         max_iters=config.max_iters,
     )
-    lines = ["mode,epsilon,cost,final_E,converged,error"]
-    for e in entries:
-        lines.append(
-            f"entropic,{e.epsilon:.12g},"
-            f"{'' if e.cost is None else format(e.cost, '.12g')},"
-            f"{'' if e.final_criterion is None else format(e.final_criterion, '.12g')},"
-            f"{int(e.converged)},{e.error or ''}"
-        )
+    rows = [
+        ("entropic", e.epsilon, e.cost, e.final_criterion, int(e.converged), e.error)
+        for e in entries
+    ]
     try:
         _, _, lp_value = solve_p_prime(
             problem.dist,
@@ -280,13 +279,11 @@ def cmd_sweep(args) -> int:
             problem.system.A,
             problem.system.b,
         )
-        lines.append(f"lp,,{lp_value:.12g},,1,")
+        rows.append(("lp", None, lp_value, None, 1, None))
     except ProblemTooLargeError as exc:
-        lines.append(f"lp,,,,0,{exc}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    out.joinpath("sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "sweep", args)
+        rows.append(("lp", None, None, None, 0, str(exc)))
+    header = ("mode", "epsilon", "cost", "final_E", "converged", "error")
+    _write_outputs(args, {"sweep.csv": _csv(header, rows)})
     return EXIT_OK if any(e.converged for e in entries) else EXIT_NOT_CONVERGED
 
 
@@ -297,10 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
+    def add_common(p):
         p.add_argument("input", help="quote CSV (maturity_years,strike,call_mid,put_mid,volume)")
-        if scenario:
-            p.add_argument("--scenario", default=None, help="stress scenario JSON")
+        p.add_argument("--scenario", default=None, help="stress scenario JSON")
         p.add_argument("--config", default=None, help="JSON file with config fields")
         p.add_argument("--mode", choices=["lp_exact", "entropic"], default=None)
         p.add_argument("--epsilon", type=float, default=None)

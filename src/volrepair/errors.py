@@ -63,7 +63,8 @@ class SingularSystemError(VolRepairError):
 
 
 class ProblemTooLargeError(VolRepairError):
-    """The exact LP path was asked to handle more variables than its cap."""
+    """A problem exceeds a size cap: the exact LP's variable count, or a
+    projection's path space N = L^m, checked before anything that size exists."""
 
 
 class SolverError(VolRepairError, ArithmeticError):

@@ -157,11 +157,11 @@ def _solve_standard_form(c, a, b):
     )
 
 
-def solve_lp(problem: LpProblem, var_cap: int = DEFAULT_VAR_CAP) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem by the two-phase simplex, under a variable cap."""
-    if problem.n_vars > var_cap:
+    if problem.n_vars > DEFAULT_VAR_CAP:
         raise ProblemTooLargeError(
-            f"{problem.n_vars} variables exceed the exact-path cap {var_cap}; "
+            f"{problem.n_vars} variables exceed the exact-path cap {DEFAULT_VAR_CAP}; "
             "use the entropic solver"
         )
     return _solve_standard_form(problem.objective, problem.eq_matrix, problem.eq_rhs)
@@ -183,7 +183,6 @@ def solve_p_prime(
     nu_minus: np.ndarray,
     a_sys: np.ndarray,
     b_sys: np.ndarray,
-    var_cap: int = DEFAULT_VAR_CAP,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact coupling program: min <M, D> over M >= 0 with slack variables s.
 
@@ -195,24 +194,21 @@ def solve_p_prime(
     a_sys = np.atleast_2d(np.asarray(a_sys, dtype=float))
     n_rows = a_sys.shape[0]
     n_vars = n * n + n
-    if n_vars > var_cap:
+    if n_vars > DEFAULT_VAR_CAP:
         raise ProblemTooLargeError(
-            f"coupling LP needs {n_vars} variables (cap {var_cap}); "
+            f"coupling LP needs {n_vars} variables (cap {DEFAULT_VAR_CAP}); "
             "use the entropic solver"
         )
+    # filled in place: one np.block of the blocks would triple the peak memory
+    eye, ones = np.eye(n), np.ones(n)
     a = np.zeros((n + n_rows + n, n_vars))
-    b = np.zeros(n + n_rows + n)
-    for p in range(n):  # row sums minus slack
-        a[p, p * n : (p + 1) * n] = 1.0
-        a[p, n * n + p] = -1.0
-        b[p] = nu_minus[p]
+    a[:n, : n * n] = np.kron(eye, ones)  # row sums
+    a[:n, n * n :] = np.diag(-ones)  # minus slack
     a[n : n + n_rows, n * n :] = a_sys
-    b[n : n + n_rows] = b_sys
-    for q in range(n):  # column sums
-        a[n + n_rows + q, q : n * n : n] = 1.0
-        b[n + n_rows + q] = nu_plus[q]
+    a[n + n_rows :, : n * n] = np.kron(ones, eye)  # column sums
+    b = np.concatenate([nu_minus, b_sys, nu_plus])
     cost = np.concatenate([dist.reshape(-1), np.zeros(n)])
-    sol = solve_lp(LpProblem(cost, a, b), var_cap=var_cap)
+    sol = solve_lp(LpProblem(cost, a, b))
     if sol.status == "infeasible":
         raise KmaxTooSmallError(
             "coupling program infeasible; the grid upper bound was too small"

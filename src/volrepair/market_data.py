@@ -429,14 +429,3 @@ def surface_vols(surface: NormalizedSurface) -> tuple[np.ndarray, ...]:
         out.append(vols)
     return tuple(out)
 
-
-def surface_to_csv(surface: NormalizedSurface) -> str:
-    """Serialize as ``maturity_years,k,c,vol`` with 12 significant digits."""
-    vols = surface_vols(surface)
-    lines = ["maturity_years,k,c,vol"]
-    for i, t in enumerate(surface.maturities):
-        for j, (k, c) in enumerate(zip(surface.strikes[i], surface.prices[i])):
-            v = vols[i][j]
-            vtxt = "" if np.isnan(v) else f"{v:.12g}"
-            lines.append(f"{t:.12g},{float(k):.12g},{float(c):.12g},{vtxt}")
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from .constraints import (
     detect_arbitrage,
     ArbitrageReport,
 )
-from .errors import InvalidCalibrationError
+from .errors import InvalidCalibrationError, ProblemTooLargeError
 from .grid import (
     CalibrationTarget,
     DEFAULT_KMAX_MARGIN,
@@ -31,7 +31,7 @@ from .grid import (
     distance_matrix,
     extract_marginal,
 )
-from .market_data import NormalizedSurface, surface_vols
+from .market_data import NormalizedSurface
 from .signed_measure import (
     DEFAULT_SHIFT,
     JointSignedMeasure,
@@ -43,6 +43,9 @@ from .signed_measure import (
 MODES = ("lp_exact", "entropic")
 # entropic history rows carry objective columns every this many sweeps
 HISTORY_OBJECTIVES_EVERY = 50
+# largest path space N = L^m a projection is built on; one dense N x N
+# float64 matrix is 128 MiB at the cap, and the solvers hold several
+MAX_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,10 @@ def prepare_projection(
     k_max = choose_kmax(surface, targets or None, margin=config.kmax_margin)
     theta = build_theta(surface, k_max)
     m = surface.n_maturities
+    if theta.l**m > MAX_PATHS:
+        raise ProblemTooLargeError(
+            f"path space has {theta.l}^{m} = {theta.l**m} paths (cap {MAX_PATHS})"
+        )
     marginals = []
     for i in range(m):
         ks = np.concatenate([[0.0], surface.strikes[i], [theta.k_max]])
@@ -273,7 +280,3 @@ def _price_changes(before: NormalizedSurface, after: NormalizedSurface) -> list[
             )
     return rows
 
-
-def repaired_vol_table(result: RepairResult) -> tuple[np.ndarray, ...]:
-    """Implied vols of the repaired surface; NaN where a price sits on a bound."""
-    return surface_vols(result.repaired_surface)

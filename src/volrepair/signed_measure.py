@@ -17,6 +17,7 @@ from .errors import SolverError
 from .grid import Theta, extract_marginal
 
 DEFAULT_SHIFT = 1e-3
+RESIDUAL_TOL = 1e-9  # largest marginal or system residual the lift may leave
 
 
 @dataclass(frozen=True)
@@ -121,25 +122,6 @@ def product_target(marginals: list[SignedMarginal]) -> np.ndarray:
     return out.reshape(-1)
 
 
-def measure_to_csv(theta: Theta, m: int, weights: np.ndarray) -> str:
-    """Serialize a path-space measure as ``path_index,k_1,...,k_m,weight``."""
-    from .grid import PathIndexer
-
-    weights = np.asarray(weights, dtype=float)
-    indexer = PathIndexer(theta.l, m)
-    if weights.shape != (indexer.n_paths,):
-        raise ValueError(
-            f"expected {indexer.n_paths} weights, got {weights.shape}"
-        )
-    header = "path_index," + ",".join(f"k_{i + 1}" for i in range(m)) + ",weight"
-    lines = [header]
-    pts = indexer.paths(theta)
-    for p in range(indexer.n_paths):
-        coords = ",".join(f"{v:.12g}" for v in pts[p])
-        lines.append(f"{p + 1},{coords},{weights[p]:.12g}")
-    return "\n".join(lines) + "\n"
-
-
 def decompose(nu: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """Split nu = nu_plus - nu_minus with both parts strictly positive.
 
@@ -159,7 +141,6 @@ def build_joint(
     marginals: list[SignedMarginal],
     system,
     shift: float = DEFAULT_SHIFT,
-    residual_tol: float = 1e-9,
 ) -> JointSignedMeasure:
     """Signed martingale with the given marginals, closest to their product.
 
@@ -177,12 +158,12 @@ def build_joint(
     m = len(marginals)
     for i, marg in enumerate(marginals):
         err = float(np.max(np.abs(extract_marginal(nu, l, m, i + 1) - marg.weights)))
-        if err > residual_tol:
+        if err > RESIDUAL_TOL:
             raise SolverError(
                 f"joint measure marginal {i + 1} off by {err}"
             )
     sys_err = float(np.max(np.abs(a_joint @ nu - b_joint)))
-    if sys_err > residual_tol:
+    if sys_err > RESIDUAL_TOL:
         raise SolverError(f"joint system residual {sys_err}")
 
     nu_plus, nu_minus = decompose(nu, shift)

@@ -2,10 +2,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from volrepair.cli import main
-from volrepair.market_data import denormalize, surface_to_csv
+from volrepair.cli import _cell, _load_surface, _measure_csv, _surface_csv, main
+from volrepair.errors import ProblemTooLargeError
+from volrepair.grid import Theta
+from volrepair.market_data import denormalize, surface_vols
+from volrepair.repair import RepairConfig, prepare_projection
 
 from conftest import make_surface, DESK_STRIKES
 
@@ -60,7 +64,6 @@ class TestCheck:
              "--out", str(stress_out)]
         ) == 0
         # stressed surface back into quote space for a check run
-        from volrepair.cli import _load_surface
         from volrepair.market_data import apply_stress, StressScenario
 
         surface = _load_surface(str(clean_csv))
@@ -96,10 +99,9 @@ class TestStress:
         assert main(
             ["stress", str(clean_csv), "--scenario", str(scen), "--out", str(out)]
         ) == 0
-        from volrepair.cli import _load_surface
-
+        surface = _load_surface(str(clean_csv))
         got = (out / "stressed_surface.csv").read_text()
-        expect = surface_to_csv(_load_surface(str(clean_csv)))
+        expect = _surface_csv(surface, surface_vols(surface))
         assert got == expect
 
     def test_outside_band_warns(self, clean_csv, tmp_path, capsys):
@@ -159,6 +161,18 @@ class TestRepair:
         assert report["diagnostics"]["iterations"] == 5
         assert (out / "repaired_surface.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_path_space_over_cap_exit_one(self, tmp_path, capsys):
+        # m=3 with 15 shared strikes: L = 17 grid points, N = 17^3 = 4913 paths
+        strikes = list(np.linspace(0.8, 1.2, 15))
+        surface = make_surface([0.25, 0.5, 1.0], [strikes] * 3, [lambda k: 0.2] * 3)
+        with pytest.raises(ProblemTooLargeError, match="4913 paths"):
+            prepare_projection(surface, RepairConfig())
+        quote_csv = tmp_path / "wide.csv"
+        write_quote_csv(surface, quote_csv)
+        code = main(["repair", str(quote_csv), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_calibration_exit_one(self, tmp_path):
         # marks select an arbitrageable pair: increasing prices in strike
@@ -258,3 +272,61 @@ class TestDeterminism:
             hashes.pop("manifest.json")  # differs in out_dir path only
             outs.append(hashes)
         assert outs[0] == outs[1]
+
+
+def _columns(text: str, *names: str) -> list[list[str]]:
+    rows = [line.split(",") for line in text.splitlines()]
+    cols = [rows[0].index(n) for n in names]
+    return [[r[c] for c in cols] for r in rows[1:]]
+
+
+class TestWriters:
+    def test_cell_rules(self):
+        assert [_cell(v) for v in (None, float("nan"), 7, "lp", 0.1 + 0.2)] == [
+            "", "", "7", "lp", "0.3"
+        ]
+        assert _cell(np.float64(1 / 3)) == "0.333333333333"
+
+    def test_surface_csv_format(self, desk_surface):
+        text = _surface_csv(desk_surface, surface_vols(desk_surface))
+        lines = text.strip().split("\n")
+        assert lines[0] == "maturity_years,k,c,vol"
+        assert len(lines) == 1 + len(desk_surface.strikes[0])
+        first = lines[1].split(",")
+        assert float(first[0]) == desk_surface.maturities[0]
+        assert abs(float(first[2]) - desk_surface.prices[0][0]) <= 1e-12
+
+    def test_path_space_format(self):
+        theta = Theta(np.array([0.0, 1.0, 2.0]))
+        w = np.arange(9, dtype=float) / 36.0
+        text = _measure_csv(theta, 2, w)
+        lines = text.strip().split("\n")
+        assert lines[0] == "path_index,k_1,k_2,weight"
+        assert len(lines) == 10
+        # path 5 is (2, 2) in 1-based components -> strikes (1, 1)
+        cells = lines[5].split(",")
+        assert cells[0] == "5"
+        assert float(cells[1]) == 1.0
+        assert float(cells[2]) == 1.0
+        assert float(cells[3]) == pytest.approx(w[4], rel=1e-11)
+
+    def test_files_agree_across_outputs(self, clean_csv, atm_scenario, tmp_path):
+        stress, rep = tmp_path / "stress", tmp_path / "rep"
+        assert main(
+            ["stress", str(clean_csv), "--scenario", str(atm_scenario),
+             "--out", str(stress)]
+        ) == 0
+        assert main(
+            ["repair", str(clean_csv), "--scenario", str(atm_scenario),
+             "--out", str(rep)]
+        ) == 0
+        surface = (stress / "stressed_surface.csv").read_text()
+        vols = (stress / "stressed_vols.csv").read_text()
+        assert vols.splitlines()[0] == "maturity_years,k,vol"
+        names = ("maturity_years", "k", "vol")
+        assert _columns(vols, *names) == _columns(surface, *names)
+        smiles = (rep / "smiles.csv").read_text()
+        repaired = (rep / "repaired_surface.csv").read_text()
+        assert _columns(smiles, "c_repaired", "vol_repaired") == _columns(
+            repaired, "c", "vol"
+        )

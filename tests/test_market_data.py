@@ -21,7 +21,6 @@ from volrepair.market_data import (
     implied_vol,
     normalize,
     parse_quotes,
-    surface_to_csv,
 )
 
 from oracles import lognormal_call_quadrature
@@ -267,13 +266,3 @@ class TestStress:
         with pytest.raises(PriceOutOfBandError) as err:
             apply_stress(surf, scen)
         assert err.value.location == (1.0, 0.5)
-
-
-def test_surface_csv_format(desk_surface):
-    text = surface_to_csv(desk_surface)
-    lines = text.strip().split("\n")
-    assert lines[0] == "maturity_years,k,c,vol"
-    assert len(lines) == 1 + len(desk_surface.strikes[0])
-    first = lines[1].split(",")
-    assert float(first[0]) == desk_surface.maturities[0]
-    assert abs(float(first[2]) - desk_surface.prices[0][0]) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from volrepair.errors import InvalidCalibrationError
-from volrepair.market_data import StressScenario, apply_stress
+from volrepair.market_data import StressScenario, apply_stress, surface_vols
 from volrepair.repair import (
     RepairConfig,
     extract_marginal,
@@ -211,14 +211,12 @@ class TestRepairPipeline:
         assert r1.transport_cost == pytest.approx(r2.transport_cost, abs=1e-7)
 
     def test_band_touching_prices_reported_without_vol(self):
-        from volrepair.repair import repaired_vol_table
-
         surf = make_surface([0.5], [[0.9, 1.0, 1.1]], [lambda k: 0.25])
         stressed = apply_stress(
             surf, StressScenario(bands={0: (((0.95, 1.05), 2.2),)})
         )
         result = repair(stressed, RepairConfig(mode="lp_exact"))
-        vols = repaired_vol_table(result)
+        vols = surface_vols(result.repaired_surface)
         prices = result.repaired_surface.prices[0]
         ks = result.repaired_surface.strikes[0]
         for k, c, v in zip(ks, prices, vols[0]):

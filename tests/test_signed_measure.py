@@ -13,7 +13,6 @@ from volrepair.signed_measure import (
     check_lemma_identity,
     decompose,
     marginal_weights,
-    measure_to_csv,
     pricing_function,
     product_target,
 )
@@ -139,26 +138,6 @@ class TestDecompose:
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
             decompose(np.array([1.0]), 0.0)
-
-
-class TestMeasureCsv:
-    def test_path_space_format(self):
-        theta = theta_012()
-        w = np.arange(9, dtype=float) / 36.0
-        text = measure_to_csv(theta, 2, w)
-        lines = text.strip().split("\n")
-        assert lines[0] == "path_index,k_1,k_2,weight"
-        assert len(lines) == 10
-        # path 5 is (2, 2) in 1-based components -> strikes (1, 1)
-        cells = lines[5].split(",")
-        assert cells[0] == "5"
-        assert float(cells[1]) == 1.0
-        assert float(cells[2]) == 1.0
-        assert float(cells[3]) == pytest.approx(w[4], rel=1e-11)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            measure_to_csv(theta_012(), 2, np.ones(4))
 
 
 class TestBuildJoint:
