@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .constraints import (
     ArbitrageReport,
     ConstraintSystem,
-    Violation,
     build_calibrated_system,
     build_joint_system,
     build_martingale_system,
@@ -13,48 +12,64 @@ from .constraints import (
     martingale_feasible,
 )
 from .entropic import (
-    GibbsKernel,
-    ScalingState,
-    SinkhornReport,
     duality_gap,
     epsilon_sweep,
     gibbs_kernel,
     kl_divergence,
-    entropy,
-    prox_vector,
     root_find,
     sinkhorn_run,
-    stopping_criterion,
 )
-from .grid import PathIndexer, Theta, build_theta, choose_kmax, distance_matrix
-from .lp import LpProblem, LpSolution, solve_eq_lsq, solve_lp, solve_p_prime
+from .grid import Theta, build_theta, choose_kmax, distance_matrix
+from .lp import LpSolution, solve_eq_lsq, solve_lp, solve_p_prime
 from .market_data import (
-    MarketCurve,
     NormalizedSurface,
-    OptionQuote,
     StressScenario,
     apply_stress,
-    bs_call_price,
-    fit_forward_discount,
     implied_vol,
     normalize,
     parse_quotes,
 )
-from .repair import (
-    RepairConfig,
-    RepairResult,
-    extract_marginal,
-    price_from_marginal,
-    repair,
-)
+from .repair import RepairConfig, extract_marginal, repair
 from .signed_measure import (
     JointSignedMeasure,
     SignedMarginal,
     build_joint,
-    check_lemma_identity,
-    decompose,
     marginal_weights,
-    pricing_function,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ArbitrageReport",
+    "ConstraintSystem",
+    "JointSignedMeasure",
+    "LpSolution",
+    "NormalizedSurface",
+    "RepairConfig",
+    "SignedMarginal",
+    "StressScenario",
+    "Theta",
+    "apply_stress",
+    "build_calibrated_system",
+    "build_joint",
+    "build_joint_system",
+    "build_martingale_system",
+    "build_theta",
+    "choose_kmax",
+    "detect_arbitrage",
+    "distance_matrix",
+    "duality_gap",
+    "epsilon_sweep",
+    "extract_marginal",
+    "gibbs_kernel",
+    "implied_vol",
+    "kl_divergence",
+    "marginal_weights",
+    "martingale_feasible",
+    "normalize",
+    "parse_quotes",
+    "repair",
+    "root_find",
+    "sinkhorn_run",
+    "solve_eq_lsq",
+    "solve_lp",
+    "solve_p_prime",
+]

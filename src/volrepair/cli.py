@@ -19,7 +19,7 @@ from . import __version__
 from .constraints import detect_arbitrage
 from .entropic import epsilon_sweep
 from .errors import InvalidConfigError, ProblemTooLargeError, VolRepairError
-from .grid import PathIndexer, Theta, extract_marginal
+from .grid import Theta, extract_marginal, path_components
 from .lp import solve_p_prime
 from .market_data import (
     NormalizedSurface,
@@ -60,6 +60,23 @@ def _load_scenario(path: str, n_maturities: int) -> StressScenario:
     return StressScenario(
         bands={i: tuple(b) for i, b in bands.items()}, calibration_marks=marks
     )
+
+
+def _load_problem(args) -> tuple[NormalizedSurface, NormalizedSurface, tuple]:
+    """The quoted surface, the surface to repair (stressed by ``--scenario``,
+    if given) and its calibration marks (the scenario's, replaced by
+    ``--calibration`` where that flag exists)."""
+    base = _load_surface(args.input)
+    stressed, marks = base, ()
+    if args.scenario:
+        scenario = _load_scenario(args.scenario, base.n_maturities)
+        stressed = apply_stress(base, scenario)
+        marks = scenario.calibration_marks
+    if getattr(args, "calibration", None):
+        marks = tuple(
+            (int(i), int(j)) for i, j in json.loads(Path(args.calibration).read_text())
+        )
+    return base, stressed, marks
 
 
 def _build_config(args, marks) -> RepairConfig:
@@ -131,7 +148,7 @@ def _marginals_csv(result) -> str:
 def _measure_csv(theta: Theta, m: int, weights) -> str:
     """A path-space measure as ``path_index,k_1,...,k_m,weight``."""
     header = ("path_index", *(f"k_{i}" for i in range(1, m + 1)), "weight")
-    paths = PathIndexer(theta.l, m).paths(theta)
+    paths = theta.strikes[path_components(theta.l, m)]
     rows = [(p, *x, w) for p, (x, w) in enumerate(zip(paths, weights), start=1)]
     return _csv(header, rows)
 
@@ -199,18 +216,7 @@ def cmd_stress(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    base = _load_surface(args.input)
-    marks: tuple = ()
-    if args.scenario:
-        scenario = _load_scenario(args.scenario, base.n_maturities)
-        stressed = apply_stress(base, scenario)
-        marks = scenario.calibration_marks
-    else:
-        stressed = base
-    if args.calibration:
-        marks = tuple(
-            (int(i), int(j)) for i, j in json.loads(Path(args.calibration).read_text())
-        )
+    base, stressed, marks = _load_problem(args)
     config = _build_config(args, marks)
     result = repair(stressed, config)
     problem = result.problem
@@ -250,14 +256,11 @@ def cmd_repair(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    surface = _load_surface(args.input)
-    if args.scenario:
-        scenario = _load_scenario(args.scenario, surface.n_maturities)
-        surface = apply_stress(surface, scenario)
+    _, surface, marks = _load_problem(args)
     eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
     if not eps_list:
         raise VolRepairError("empty eps list")
-    config = _build_config(args, ())
+    config = _build_config(args, marks)
     problem = prepare_projection(surface, config)
     entries = epsilon_sweep(
         problem.dist,

@@ -25,10 +25,10 @@ from .errors import DegenerateCalibrationError, DuplicateConstraintError
 from .grid import (
     CalibrationTarget,
     DEFAULT_KMAX_MARGIN,
-    PathIndexer,
     Theta,
     build_theta,
     choose_kmax,
+    path_components,
 )
 from .market_data import NormalizedSurface
 from .signed_measure import SignedMarginal
@@ -109,9 +109,8 @@ def build_martingale_system(theta: Theta, m: int) -> ConstraintSystem:
     if m < 1:
         raise ValueError("need at least one period")
     l = theta.l  # noqa: E741
-    indexer = PathIndexer(l, m)
-    n = indexer.n_paths
-    idx = indexer.all_components()
+    idx = path_components(l, m)
+    n = idx.shape[0]
     k = theta.strikes
 
     n_mart = (n - l) // (l - 1) if l > 1 else 0
@@ -125,17 +124,11 @@ def build_martingale_system(theta: Theta, m: int) -> ConstraintSystem:
     b[1] = 1.0
     offset = 2
     for level in range(1, m):
-        prefix_id = np.zeros(n, dtype=int)
-        for t in range(level):
-            prefix_id = prefix_id * l + idx[:, t]
+        prefix_id = np.arange(n) // l ** (m - level)  # first `level` digits
         coeff = k[idx[:, level]] - k[idx[:, level - 1]]
         a[offset + prefix_id, np.arange(n)] = coeff
-        for pid in range(l**level):
-            rem, digits = pid, []
-            for _ in range(level):
-                digits.append(rem % l + 1)
-                rem //= l
-            kinds.append(("martingality", level, tuple(reversed(digits))))
+        prefixes = (path_components(l, level) + 1).tolist()
+        kinds += [("martingality", level, tuple(p)) for p in prefixes]
         offset += l**level
     return ConstraintSystem(A=a, b=b, row_kinds=tuple(kinds), theta=theta, m=m)
 
@@ -152,8 +145,7 @@ def build_calibrated_system(
         if key in seen:
             raise DuplicateConstraintError(f"calibration node {key} supplied twice")
         seen.add(key)
-    indexer = PathIndexer(theta.l, base.m)
-    idx = indexer.all_components()
+    idx = path_components(theta.l, base.m)
     k = theta.strikes
     new_rows, new_b, new_kinds = [], [], []
     for i, strike, price in calibration:
@@ -185,8 +177,7 @@ def build_joint_system(
     l = theta.l  # noqa: E741
     if len(marginals) != m:
         raise ValueError(f"expected {m} marginals, got {len(marginals)}")
-    indexer = PathIndexer(l, m)
-    idx = indexer.all_components()
+    idx = path_components(l, m)
     mart = [r for r, kind in enumerate(base.row_kinds) if kind[0] == "martingality"]
     rows = [base.A[r] for r in mart]
     rhs = [base.b[r] for r in mart]

@@ -4,10 +4,9 @@ The regularized coupling is a diagonal scaling of the Gibbs kernel: one
 positive vector per constraint block (affine rows of the martingale system,
 the box constraint from the negative part, and the fixed column marginal).
 Each sweep updates the scalings in turn; affine substeps reduce to finding
-the root of an explicit monotone scalar function. One sweep implementation
-serves the solver, the per-substep iterates and the single-block prox; the
-full-matrix Dykstra recursion it is checked against lives in
-``tests/oracles.py``.
+the root of an explicit monotone scalar function. The test references it is
+checked against (full-matrix Dykstra, per-substep iterates, the single-block
+prox and the dense stopping criterion) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,13 +31,6 @@ class GibbsKernel:
     G: np.ndarray
     epsilon: float
     floored_entries: int = 0
-
-
-@dataclass
-class ScalingState:
-    """The R positive scaling vectors."""
-
-    scalings: list[np.ndarray]
 
 
 @dataclass
@@ -72,17 +64,6 @@ def gibbs_kernel(dist: np.ndarray, epsilon: float) -> GibbsKernel:
     return GibbsKernel(G=g, epsilon=float(epsilon), floored_entries=floored)
 
 
-def entropy(m: np.ndarray) -> float:
-    """H(M) = -sum M (log M - 1) with the 0 log 0 = 0 convention."""
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 0):
-        return -np.inf
-    terms = np.zeros_like(m)
-    pos = m > 0
-    terms[pos] = m[pos] * (np.log(m[pos]) - 1.0)
-    return float(-terms.sum())
-
-
 def kl_divergence(m: np.ndarray, g: np.ndarray) -> float:
     """Relative entropy KL(M | G); +inf if M has a negative entry."""
     m = np.asarray(m, dtype=float)
@@ -104,7 +85,8 @@ def root_find(
     side; safeguarded Newton steps (falling back to bisection once a bracket
     exists, geometric jumps before that) converge from any start. ``x0``
     warm-starts the search, typically from the previous sweep's root.
-    Exponent arguments are capped for safety.
+    The search keeps exponent arguments within ``SAFE_EXPONENT``;
+    ``InstabilityError`` means the root lies beyond that cap.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -153,17 +135,22 @@ def root_find(
                 else 0.5 * (lo + hi)
             )
         else:
-            # no bracket yet: jump geometrically, but let Newton overtake
-            jump = lam - stride if val > 0 else lam + stride
-            stride *= 4.0
-            if newton is not None:
-                cand = min(newton, jump) if val > 0 else max(newton, jump)
-            else:
-                cand = jump
-            if abs(cand) > safe_lam:
+            # no bracket yet: jump geometrically, stopping at the exponent cap,
+            # and let Newton overtake when it stays inside the cap. Still on
+            # the starting side at the cap means the root lies beyond it.
+            at_cap = lam <= -safe_lam if val > 0 else lam >= safe_lam
+            if at_cap:
                 raise InstabilityError(
                     label, "bracket expansion exceeded safe exponent"
                 )
+            if val > 0:
+                jump = max(lam - stride, -safe_lam)
+            else:
+                jump = min(lam + stride, safe_lam)
+            stride *= 4.0
+            cand = jump
+            if newton is not None and abs(newton) <= safe_lam:
+                cand = min(newton, jump) if val > 0 else max(newton, jump)
         lam = cand
         val, gp = g_pair(lam)
     else:
@@ -258,40 +245,11 @@ class _Sweep:
         return (self.rho[:, None] * self.g) * self.a[-1][None, :]
 
 
-def prox_vector(
-    r: int, x: np.ndarray, system, nu: JointSignedMeasure
-) -> np.ndarray:
-    """KL-closest point of the r-th constraint set to a positive vector.
-
-    ``r`` is 1-based: affine rows first, then the box constraint, then the
-    fixed column marginal.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("prox input must be strictly positive")
-    if not 1 <= r <= system.n_rows + 2:
-        raise IndexError(f"substep {r} outside [1, {system.n_rows + 2}]")
-    return x * _Blocks(system, nu).scaling(r - 1, x)
-
-
 def _marginal_criterion(row: np.ndarray, col: np.ndarray, system, nu) -> float:
     affine = float(np.max(np.abs(system.A @ (row - nu.nu_minus) - system.b)))
     box = float(np.max(np.maximum(nu.nu_minus - row, 0.0)))
     fixed = float(np.max(np.abs(col - nu.nu_plus)))
     return max(affine, box, fixed)
-
-
-def stopping_criterion(m: np.ndarray, system, nu: JointSignedMeasure) -> float:
-    """Max sup-norm violation of affine, box and column-marginal constraints."""
-    return _marginal_criterion(m.sum(axis=1), m.sum(axis=0), system, nu)
-
-
-def reconstruct_coupling(kernel: GibbsKernel, state: ScalingState) -> np.ndarray:
-    """diag(product of row scalings) G diag(column scaling)."""
-    rho = np.ones_like(state.scalings[0])
-    for a in state.scalings[:-1]:
-        rho = rho * a
-    return (rho[:, None] * kernel.G) * state.scalings[-1][None, :]
 
 
 def _check_finite_positive(vec: np.ndarray, substep: int, what: str):
@@ -309,20 +267,20 @@ def sinkhorn_run(
     max_iters: int = DEFAULT_MAX_ITERS,
     initial_scalings: list[np.ndarray] | None = None,
     objective_every: int | None = 1,
-) -> tuple[np.ndarray, ScalingState, SinkhornReport]:
+) -> tuple[np.ndarray, list[np.ndarray], SinkhornReport]:
     """Multi-constrained scaling iteration until the criterion drops below e_tol.
 
     Never materializes couplings during substeps: each sweep costs two
     kernel matrix-vector products plus one scalar root-find per affine row.
     The returned coupling is the one whose criterion met the tolerance,
-    together with the scalings that reproduce it. Objective columns in the
+    together with the R scaling vectors that reproduce it (affine rows, the
+    box row, then the column marginal). Objective columns in the
     history are filled every ``objective_every`` sweeps (they need a dense
     reconstruction, unlike the criterion itself); ``None`` skips them and
     the report's objective values.
     """
     g = kernel.G
     sweep = _Sweep(kernel, system, nu, initial_scalings)
-    state = ScalingState(scalings=sweep.a)
     history: list[dict] = []
 
     # sweep n ends at the (n, R-1) iterate; the (0, R-1) iterate is the raw
@@ -336,7 +294,7 @@ def sinkhorn_run(
         if objective_every and n_iter % objective_every == 0:
             m = sweep.coupling()
             entry["primal_kl"] = kernel.epsilon * kl_divergence(m, g)
-            entry["duality_gap"] = duality_gap(m, state, kernel, system, nu, m_rec=m)
+            entry["duality_gap"] = duality_gap(m, sweep.a, kernel, system, nu)
         history.append(entry)
         if crit < e_tol or n_iter == max_iters:
             break
@@ -351,67 +309,44 @@ def sinkhorn_run(
     report = SinkhornReport(crit < e_tol, n_iter, crit, history)
     if objective_every:
         report.primal_kl = kernel.epsilon * kl_divergence(m, g)
-        report.duality_gap = duality_gap(m, state, kernel, system, nu)
-    return m, state, report
-
-
-def sinkhorn_iterates(
-    kernel: GibbsKernel, system, nu: JointSignedMeasure, sweeps: int
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Dense couplings M(n, r) for every substep of a fixed number of sweeps.
-
-    Runs the same sweep as :func:`sinkhorn_run` from unit scalings, for
-    comparison with the Dykstra reference; also returns the scaling vectors
-    after each sweep.
-    """
-    g = kernel.G
-    sweep = _Sweep(kernel, system, nu)
-    couplings: list[list[np.ndarray]] = []
-    scalings: list[list[np.ndarray]] = []
-    for _ in range(sweeps):
-        per_sweep = [sweep.coupling() for _ in sweep.row_substeps()]
-        sweep.column_update(g.T @ sweep.rho)
-        per_sweep.append(sweep.coupling())
-        couplings.append(per_sweep)
-        scalings.append([v.copy() for v in sweep.a])
-    return couplings, scalings
+        report.duality_gap = duality_gap(m, sweep.a, kernel, system, nu)
+    return m, sweep.a, report
 
 
 def duality_gap(
     m: np.ndarray,
-    state: ScalingState,
+    scalings: list[np.ndarray],
     kernel: GibbsKernel,
     system,
     nu: JointSignedMeasure,
-    m_rec: np.ndarray | None = None,
 ) -> float:
-    """Primal regularized objective minus the dual value at the current scalings.
+    """Primal regularized objective at ``m`` minus the dual value at the scalings.
+
+    ``m`` is the coupling the scalings reproduce, diag(product of the row
+    scalings) G diag(column scaling); its mass enters the dual.
 
     The conjugate terms have closed forms: affine rows contribute their
     multiplier times the shifted right-hand side, the box row pairs with the
     negative part (its dual variable must stay nonnegative), the fixed row
-    pairs with the positive part. ``m_rec`` lets callers that already built
-    the scaling reconstruction skip rebuilding it.
+    pairs with the positive part.
     """
     eps = kernel.epsilon
     blocks = _Blocks(system, nu)
     n_aff = system.n_rows
     dual = 0.0
     for r, (support, coef) in enumerate(blocks.rows):
-        log_a = np.log(state.scalings[r][support])
+        log_a = np.log(scalings[r][support])
         lam = float((coef @ log_a) / (coef @ coef))
         dual += eps * lam * float(blocks.rhs[r])
-    u_box = eps * np.log(state.scalings[n_aff])
+    u_box = eps * np.log(scalings[n_aff])
     if np.any(u_box < -1e-10):
         raise DomainViolationError(
             f"box-row dual variable has negative component {u_box.min()}"
         )
     dual += float(u_box @ nu.nu_minus)
-    u_col = eps * np.log(state.scalings[-1])
+    u_col = eps * np.log(scalings[-1])
     dual += float(u_col @ nu.nu_plus)
-    if m_rec is None:
-        m_rec = reconstruct_coupling(kernel, state)
-    dual -= eps * float(m_rec.sum() - kernel.G.sum())
+    dual -= eps * float(m.sum() - kernel.G.sum())
     primal = eps * kl_divergence(m, kernel.G)
     return primal - dual
 
@@ -439,7 +374,7 @@ def epsilon_sweep(
     for eps in eps_arr:
         kernel = gibbs_kernel(dist, eps)
         try:
-            m, state, report = sinkhorn_run(
+            m, scalings, report = sinkhorn_run(
                 kernel,
                 system,
                 nu,
@@ -456,5 +391,5 @@ def epsilon_sweep(
             SweepEntry(eps, cost, report.final_criterion, report.converged)
         )
         if report.converged:
-            warm = [v.copy() for v in state.scalings]
+            warm = [v.copy() for v in scalings]
     return entries

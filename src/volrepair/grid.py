@@ -109,57 +109,13 @@ def choose_kmax(
     return (1.0 + margin) * max(top, max(bounds))
 
 
-@dataclass(frozen=True)
-class PathIndexer:
-    """Bijection between flat path indices and per-period strike indices.
+def path_components(l: int, m: int) -> np.ndarray:  # noqa: E741
+    """(L^m, m) array of 0-based strike indices per path, path-major order.
 
-    Flat index p and tuple (p_1, ..., p_m) are both 1-based; the first
-    period is the most significant digit of the base-l expansion of p - 1.
+    Path p (0-based) is the base-L expansion of p, the first period being
+    the most significant digit.
     """
-
-    l: int  # noqa: E741
-    m: int
-
-    def __post_init__(self):
-        if self.l < 1 or self.m < 1:
-            raise ValueError("need l >= 1 and m >= 1")
-
-    @property
-    def n_paths(self) -> int:
-        return self.l**self.m
-
-    def encode(self, components: tuple[int, ...]) -> int:
-        if len(components) != self.m:
-            raise IndexError(f"expected {self.m} components, got {len(components)}")
-        p = 1
-        for c in components:
-            if not 1 <= c <= self.l:
-                raise IndexError(f"component {c} outside [1, {self.l}]")
-            p = (p - 1) * self.l + (c - 1) + 1
-        return p
-
-    def decode(self, p: int) -> tuple[int, ...]:
-        if not 1 <= p <= self.n_paths:
-            raise IndexError(f"path index {p} outside [1, {self.n_paths}]")
-        rem = p - 1
-        out = []
-        for _ in range(self.m):
-            out.append(rem % self.l + 1)
-            rem //= self.l
-        return tuple(reversed(out))
-
-    def all_components(self) -> np.ndarray:
-        """(N, m) array of 0-based strike indices, path-major order."""
-        n = self.n_paths
-        rem = np.arange(n)
-        cols = []
-        for i in range(self.m):
-            cols.append(rem // self.l ** (self.m - 1 - i) % self.l)
-        return np.stack(cols, axis=1)
-
-    def paths(self, theta: Theta) -> np.ndarray:
-        """(N, m) array of strike values along each path."""
-        return theta.strikes[self.all_components()]
+    return np.indices((l,) * m).reshape(m, -1).T
 
 
 def extract_marginal(mu: np.ndarray, l: int, m: int, period: int) -> np.ndarray:  # noqa: E741
@@ -173,6 +129,6 @@ def extract_marginal(mu: np.ndarray, l: int, m: int, period: int) -> np.ndarray:
 
 def distance_matrix(theta: Theta, m: int) -> np.ndarray:
     """Pairwise Euclidean distances between the paths of Theta^m."""
-    pts = PathIndexer(theta.l, m).paths(theta)
+    pts = theta.strikes[path_components(theta.l, m)]
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))

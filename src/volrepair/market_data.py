@@ -298,20 +298,6 @@ def normalize(quotes: list[OptionQuote], curve: MarketCurve) -> NormalizedSurfac
     )
 
 
-def denormalize(surface: NormalizedSurface) -> tuple[list[OptionQuote], MarketCurve]:
-    """Inverse of :func:`normalize`; puts are synthesized from parity."""
-    quotes = []
-    for i, t in enumerate(surface.maturities):
-        f, d = surface.forwards[i], surface.discounts[i]
-        for k, c in zip(surface.strikes[i], surface.prices[i]):
-            strike = float(k) * f
-            call = float(c) * f * d
-            put = call - d * (f - strike)
-            quotes.append(OptionQuote(t, strike, call, put, volume=1.0))
-    curve = MarketCurve(surface.maturities, surface.forwards, surface.discounts)
-    return quotes, curve
-
-
 def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 

@@ -36,13 +36,6 @@ class SignedMarginal:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"marginal mass {total} != 1")
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.weights)[0]
-
-    def mean(self) -> float:
-        return float(self.weights @ self.theta.strikes)
-
 
 @dataclass(frozen=True)
 class JointSignedMeasure:
@@ -99,19 +92,6 @@ def marginal_weights(strikes, prices, theta: Theta) -> SignedMarginal:
     for k, weight in zip(strikes, w):
         out[theta.index_of(float(k))] += weight
     return SignedMarginal(theta=theta, weights=out)
-
-
-def pricing_function(strikes, prices, k) -> float | np.ndarray:
-    """Piecewise-linear call price curve; zero at and beyond the last strike."""
-    strikes, prices = _validate_augmented(strikes, prices)
-    return np.interp(k, strikes, prices, right=0.0)
-
-
-def check_lemma_identity(marginal: SignedMarginal, strikes, prices, k: float) -> float:
-    """| sum (x-k)+ d(marginal) - price curve at k |; a documented test hook."""
-    lhs = float(np.maximum(marginal.theta.strikes - k, 0.0) @ marginal.weights)
-    rhs = float(pricing_function(strikes, prices, k))
-    return abs(lhs - rhs)
 
 
 def product_target(marginals: list[SignedMarginal]) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from volrepair.market_data import (
+    MarketCurve,
     NormalizedSurface,
+    OptionQuote,
     StressScenario,
     apply_stress,
     bs_call_price,
@@ -28,6 +30,20 @@ def make_surface(maturities, strikes_list, vol_fns, forward=100.0, discount=0.99
         (forward,) * n,
         (discount,) * n,
     )
+
+
+def denormalize(surface):
+    """Inverse of ``normalize``; puts are synthesized from parity."""
+    quotes = []
+    for i, t in enumerate(surface.maturities):
+        f, d = surface.forwards[i], surface.discounts[i]
+        for k, c in zip(surface.strikes[i], surface.prices[i]):
+            strike = float(k) * f
+            call = float(c) * f * d
+            put = call - d * (f - strike)
+            quotes.append(OptionQuote(t, strike, call, put, volume=1.0))
+    curve = MarketCurve(surface.maturities, surface.forwards, surface.discounts)
+    return quotes, curve
 
 
 DESK_STRIKES = [0.85, 0.90, 0.95, 0.975, 1.0, 1.025, 1.05, 1.10]

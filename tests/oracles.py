@@ -1,11 +1,16 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles and test-only references used to freeze expected values.
 
-These deliberately avoid the code paths they check: quadrature instead of
-closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
+The oracles deliberately avoid the code paths they check: quadrature instead
+of closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
 scipy's LP for dual-side cross-checks, a solve on the Gram matrix A A^T
 instead of the least-squares lift, the full path-space LP instead of the
 marginal-space detector, and full-matrix Dykstra projections instead of
 the scaling sweep.
+
+The references expose what the library keeps internal: the entropy, the
+per-substep dense iterates of the scaling sweep, the single-block prox, the
+stopping criterion on a dense coupling, and the piecewise-linear price curve
+with its pricing identity.
 """
 
 from itertools import combinations
@@ -19,8 +24,9 @@ from volrepair.constraints import (
     build_calibrated_system,
     build_martingale_system,
 )
-from volrepair.entropic import root_find
+from volrepair.entropic import _Blocks, _marginal_criterion, _Sweep, root_find
 from volrepair.grid import DEFAULT_KMAX_MARGIN
+from volrepair.signed_measure import _validate_augmented
 
 
 def lognormal_call_quadrature(k: float, vol: float, maturity: float) -> float:
@@ -163,3 +169,65 @@ def dykstra_run(kernel, system, nu, sweeps):
         couplings.append(per_sweep)
         q_history.append([qq.copy() for qq in q])
     return couplings, q_history
+
+
+def entropy(m):
+    """H(M) = -sum M (log M - 1) with the 0 log 0 = 0 convention."""
+    m = np.asarray(m, dtype=float)
+    if np.any(m < 0):
+        return -np.inf
+    terms = np.zeros_like(m)
+    pos = m > 0
+    terms[pos] = m[pos] * (np.log(m[pos]) - 1.0)
+    return float(-terms.sum())
+
+
+def prox_vector(r, x, system, nu):
+    """KL-closest point of the r-th constraint set to a positive vector.
+
+    ``r`` is 1-based: affine rows first, then the box constraint, then the
+    fixed column marginal.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("prox input must be strictly positive")
+    if not 1 <= r <= system.n_rows + 2:
+        raise IndexError(f"substep {r} outside [1, {system.n_rows + 2}]")
+    return x * _Blocks(system, nu).scaling(r - 1, x)
+
+
+def stopping_criterion(m, system, nu):
+    """Max sup-norm violation of affine, box and column-marginal constraints."""
+    return _marginal_criterion(m.sum(axis=1), m.sum(axis=0), system, nu)
+
+
+def sinkhorn_iterates(kernel, system, nu, sweeps):
+    """Dense couplings M(n, r) for every substep of a fixed number of sweeps.
+
+    Runs the sweep of ``sinkhorn_run`` from unit scalings, for comparison
+    with the Dykstra reference; also returns the scaling vectors after each
+    sweep.
+    """
+    g = kernel.G
+    sweep = _Sweep(kernel, system, nu)
+    couplings, scalings = [], []
+    for _ in range(sweeps):
+        per_sweep = [sweep.coupling() for _ in sweep.row_substeps()]
+        sweep.column_update(g.T @ sweep.rho)
+        per_sweep.append(sweep.coupling())
+        couplings.append(per_sweep)
+        scalings.append([v.copy() for v in sweep.a])
+    return couplings, scalings
+
+
+def pricing_function(strikes, prices, k):
+    """Piecewise-linear call price curve; zero at and beyond the last strike."""
+    strikes, prices = _validate_augmented(strikes, prices)
+    return np.interp(k, strikes, prices, right=0.0)
+
+
+def check_lemma_identity(marginal, strikes, prices, k):
+    """| sum (x-k)+ d(marginal) - price curve at k |."""
+    lhs = float(np.maximum(marginal.theta.strikes - k, 0.0) @ marginal.weights)
+    rhs = float(pricing_function(strikes, prices, k))
+    return abs(lhs - rhs)

@@ -19,15 +19,7 @@ from volrepair.constraints import (
     build_martingale_system,
     detect_arbitrage,
 )
-from volrepair.entropic import (
-    duality_gap,
-    entropy,
-    epsilon_sweep,
-    gibbs_kernel,
-    sinkhorn_iterates,
-    sinkhorn_run,
-    stopping_criterion,
-)
+from volrepair.entropic import duality_gap, epsilon_sweep, gibbs_kernel, sinkhorn_run
 from volrepair.grid import Theta, build_theta, choose_kmax
 from volrepair.lp import LpProblem, check_feasibility, solve_lp, solve_p_prime
 from volrepair.market_data import (
@@ -36,7 +28,7 @@ from volrepair.market_data import (
     apply_stress,
 )
 from volrepair.repair import RepairConfig, repair
-from volrepair.signed_measure import check_lemma_identity, marginal_weights
+from volrepair.signed_measure import marginal_weights
 
 from conftest import (
     DESK_STRIKES,
@@ -45,7 +37,15 @@ from conftest import (
     prepared,
     random_instance,
 )
-from oracles import dykstra_run, vertex_enumeration_lp
+from oracles import (
+    check_lemma_identity,
+    dykstra_run,
+    entropy,
+    prox_vector,
+    sinkhorn_iterates,
+    stopping_criterion,
+    vertex_enumeration_lp,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_repair_value.json"
 
@@ -109,8 +109,6 @@ def tight_solves():
 
 def _one_full_sweep(kern, system, nu, scalings):
     """Apply all R substep updates once, Gauss-Seidel, returning new scalings."""
-    from volrepair.entropic import prox_vector
-
     a = [v.copy() for v in scalings]
     n_aff = system.n_rows
     g = kern.G
@@ -134,7 +132,7 @@ def test_c02_stopping_criterion_soundness(tight_solves):
         assert rep.converged
         assert rep.final_criterion <= 1e-12
         assert stopping_criterion(coupling, prob.system, prob.nu) <= 1e-10
-        before = [v.copy() for v in state.scalings]
+        before = [v.copy() for v in state]
         after = _one_full_sweep(kern, prob.system, prob.nu, before)
         worst = max(
             float(np.max(np.abs(v2 / v1 - 1.0)))
@@ -477,8 +475,6 @@ def test_c10_determinism(tmp_path):
 
 def test_error_criterion_slope_informational():
     """Log-log relation between iterate error and the criterion, reported."""
-    from volrepair.entropic import sinkhorn_iterates
-
     surface = make_surface(
         [0.16], [DESK_STRIKES], [lambda k: 0.2 + 0.35 * (k - 1) ** 2]
     )

@@ -8,10 +8,10 @@ import pytest
 from volrepair.cli import _cell, _load_surface, _measure_csv, _surface_csv, main
 from volrepair.errors import ProblemTooLargeError
 from volrepair.grid import Theta
-from volrepair.market_data import denormalize, surface_vols
+from volrepair.market_data import surface_vols
 from volrepair.repair import RepairConfig, prepare_projection
 
-from conftest import make_surface, DESK_STRIKES
+from conftest import make_surface, denormalize, DESK_STRIKES
 
 
 def write_quote_csv(surface, path: Path):
@@ -230,6 +230,24 @@ class TestSweep:
         assert rows[0] == "mode,epsilon,cost,final_E,converged,error"
         assert len(rows) == 1 + 3 + 1
         assert rows[-1].startswith("lp,")
+
+    def test_scenario_marks_match_repair(self, clean_csv, atm_scenario, tmp_path):
+        # sweep must solve the problem repair solves, calibration marks included
+        code = main(
+            ["sweep", str(clean_csv), "--scenario", str(atm_scenario),
+             "--eps-list", "0.5", "--e-tol", "1e-6", "--out", str(tmp_path / "sw")]
+        )
+        assert code == 0
+        sweep_csv = (tmp_path / "sw" / "sweep.csv").read_text()
+        sweep_cost = float(_columns(sweep_csv, "cost")[0][0])
+        code = main(
+            ["repair", str(clean_csv), "--scenario", str(atm_scenario),
+             "--mode", "entropic", "--epsilon", "0.5", "--e-tol", "1e-6",
+             "--out", str(tmp_path / "rep")]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert abs(sweep_cost - report["transport_cost"]) <= 1e-5
 
     def test_none_converged_exit_three(self, clean_csv, tmp_path):
         out = tmp_path / "sw_nc"

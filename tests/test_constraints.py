@@ -16,10 +16,10 @@ from volrepair.constraints import (
 from volrepair.errors import DuplicateConstraintError
 from volrepair.grid import (
     DEFAULT_KMAX_MARGIN,
-    PathIndexer,
     Theta,
     build_theta,
     choose_kmax,
+    path_components,
 )
 from volrepair.market_data import NormalizedSurface, StressScenario, apply_stress
 from volrepair.signed_measure import marginal_weights
@@ -61,8 +61,7 @@ class TestMartingaleSystem:
         theta = theta_l(3)
         system = build_martingale_system(theta, 2)
         np.testing.assert_allclose(system.A[0], 1.0)
-        ix = PathIndexer(3, 2)
-        comps = ix.all_components()
+        comps = path_components(3, 2)
         np.testing.assert_allclose(system.A[1], theta.strikes[comps[:, 0]])
 
     def test_zero_prefix_row_sign_structure(self):
@@ -76,7 +75,7 @@ class TestMartingaleSystem:
         )
         support = row[np.nonzero(row)[0]]
         assert np.all(support > 0)
-        comps = PathIndexer(3, 2).all_components()
+        comps = path_components(3, 2)
         on_prefix = comps[:, 0] == 0
         zeros_on_prefix = on_prefix & (row == 0.0)
         assert zeros_on_prefix.sum() == 1  # only the flat transition 0 -> 0
@@ -129,7 +128,7 @@ class TestCalibratedSystem:
         system = build_calibrated_system(base, [(1, 0.9, 0.2)], theta)
         row = system.A[-1]
         assert np.all(row >= 0)
-        comps = PathIndexer(theta.l, 2).all_components()
+        comps = path_components(theta.l, 2)
         at_kmax = comps[:, 1] == theta.l - 1
         assert np.all(row[at_kmax] > 0)
 

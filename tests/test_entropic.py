@@ -3,23 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volrepair.entropic import (
+    SAFE_EXPONENT,
     duality_gap,
-    entropy,
     epsilon_sweep,
     gibbs_kernel,
     kl_divergence,
-    prox_vector,
-    reconstruct_coupling,
     root_find,
-    sinkhorn_iterates,
     sinkhorn_run,
-    stopping_criterion,
 )
 from volrepair.errors import InstabilityError, SolverError
 from volrepair.lp import solve_p_prime
 
 from conftest import prepared, random_instance
-from oracles import dykstra_run
+from oracles import (
+    dykstra_run,
+    entropy,
+    prox_vector,
+    sinkhorn_iterates,
+    stopping_criterion,
+)
 
 
 class TestGibbsKernel:
@@ -106,6 +108,34 @@ class TestRootFind:
         # positive row, negative rhs: no root; expansion must hit the cap
         with pytest.raises(InstabilityError):
             root_find(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
+
+    def test_newton_overshoot_past_cap_is_not_fatal(self):
+        # from the flat side Newton proposes a step past the exponent cap
+        # (700 here) although the root sits at 13.8; the search must stay
+        # inside the cap and find it
+        c, x = np.array([1e-3, 1.0]), np.array([1.0, 1e-6])
+        lam = root_find(c, x, 1.0)
+        assert lam == pytest.approx(13.8145, abs=1e-4)
+        assert abs(np.exp(lam * c) @ (c * x) - 1.0) <= 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        positive=st.booleans(),
+        frac=st.floats(-0.5, 0.5),
+        warm=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+    )
+    def test_solves_every_root_inside_half_the_cap(self, data, n, positive, frac, warm):
+        mags = data.draw(st.lists(st.floats(1e-4, 3.0), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        c = np.array(mags) * (1.0 if positive else np.array(signs))
+        x = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+        safe_lam = SAFE_EXPONENT / np.max(np.abs(c))
+        rhs = float(np.exp(frac * safe_lam * c) @ (c * x))
+        x0 = None if warm is None else warm * safe_lam
+        lam = root_find(c, x, rhs, x0=x0)
+        assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
     def test_no_convergence_is_solver_error(self, monkeypatch):
         # without the exponent cap the same search runs out of steps
@@ -202,7 +232,7 @@ class TestSinkhornRun:
     def test_converges_on_toy_instance(self, small_problem):
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 1.0)
-        m, state, report = sinkhorn_run(
+        _, _, report = sinkhorn_run(
             kern, prob.system, prob.nu, e_tol=5e-6, max_iters=50_000
         )
         assert report.converged
@@ -213,8 +243,9 @@ class TestSinkhornRun:
     def test_returned_coupling_reconstructs_from_scalings(self, small_problem):
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 0.8)
-        m, state, _ = sinkhorn_run(kern, prob.system, prob.nu, e_tol=1e-8)
-        rebuilt = reconstruct_coupling(kern, state)
+        m, scalings, _ = sinkhorn_run(kern, prob.system, prob.nu, e_tol=1e-8)
+        rho = np.prod(scalings[:-1], axis=0)
+        rebuilt = (rho[:, None] * kern.G) * scalings[-1][None, :]
         assert np.max(np.abs(rebuilt - m)) <= 1e-13 * max(1.0, float(np.max(m)))
 
     def test_column_marginal_exact_after_final_substep(self, small_problem):
@@ -231,12 +262,12 @@ class TestSinkhornRun:
         # once the criterion is ~0, one more full sweep must not move scalings
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 1.0)
-        m, state, report = sinkhorn_run(
+        m, scalings, report = sinkhorn_run(
             kern, prob.system, prob.nu, e_tol=1e-12, max_iters=200_000
         )
         assert report.converged
-        before = [v.copy() for v in state.scalings]
-        m2, state2, _ = sinkhorn_run(
+        before = [v.copy() for v in scalings]
+        m2, scalings2, _ = sinkhorn_run(
             kern,
             prob.system,
             prob.nu,
@@ -245,7 +276,7 @@ class TestSinkhornRun:
             initial_scalings=before,
             objective_every=None,
         )
-        for v1, v2 in zip(before, state2.scalings):
+        for v1, v2 in zip(before, scalings2):
             assert np.max(np.abs(v2 / v1 - 1.0)) <= 1e-10
 
     def test_feasible_coupling_satisfies_all_constraints(self, small_problem):
@@ -272,14 +303,14 @@ class TestSingleSweep:
     def test_run_matches_iterates_bitwise(self, seed, m, eps, k, every):
         prob = prepared(random_instance(np.random.default_rng(seed), m=m, max_interior=3))
         kern = gibbs_kernel(prob.dist, eps)
-        coupling, state, report = sinkhorn_run(
+        coupling, run_scalings, report = sinkhorn_run(
             kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=every
         )
         couplings, scalings = sinkhorn_iterates(kern, prob.system, prob.nu, k)
         n_aff = prob.system.n_rows
         # the run stops at the (k, R-1) iterate, before the column substep
         assert np.array_equal(coupling, couplings[k - 1][n_aff])
-        for got, want in zip(state.scalings[:-1], scalings[k - 1][:-1]):
+        for got, want in zip(run_scalings[:-1], scalings[k - 1][:-1]):
             assert np.array_equal(got, want)
         assert report.iterations == k and not report.converged
         assert [h["n"] for h in report.history] == list(range(k + 1))
@@ -314,11 +345,11 @@ class TestDualityGap:
     def test_small_gap_at_convergence(self, small_problem):
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 0.6)
-        m, state, report = sinkhorn_run(
+        m, scalings, report = sinkhorn_run(
             kern, prob.system, prob.nu, e_tol=1e-10, max_iters=200_000
         )
         assert report.converged
-        gap = duality_gap(m, state, kern, prob.system, prob.nu)
+        gap = duality_gap(m, scalings, kern, prob.system, prob.nu)
         assert gap >= -1e-8
         assert gap <= 1e-6 * (1.0 + abs(report.primal_kl))
 
@@ -326,13 +357,9 @@ class TestDualityGap:
         # with unit scalings both objectives vanish identically
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 1.0)
-        from volrepair.entropic import ScalingState
-
         n = prob.system.n_paths
-        state = ScalingState(
-            scalings=[np.ones(n) for _ in range(prob.system.n_rows + 2)]
-        )
-        gap = duality_gap(kern.G, state, kern, prob.system, prob.nu)
+        scalings = [np.ones(n) for _ in range(prob.system.n_rows + 2)]
+        gap = duality_gap(kern.G, scalings, kern, prob.system, prob.nu)
         assert abs(gap) <= 1e-12
 
 

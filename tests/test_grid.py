@@ -3,11 +3,11 @@ import pytest
 
 from volrepair.errors import DegenerateCalibrationError, InvalidKmaxError
 from volrepair.grid import (
-    PathIndexer,
     Theta,
     build_theta,
     choose_kmax,
     distance_matrix,
+    path_components,
 )
 from volrepair.market_data import NormalizedSurface
 
@@ -89,44 +89,16 @@ class TestChooseKmax:
         assert k_max > 1.0
 
 
-class TestPathIndexer:
-    def test_formula_example(self):
-        ix = PathIndexer(3, 2)
-        assert ix.encode((2, 2)) == 5
-        assert ix.encode((1, 1)) == 1
-        assert ix.encode((3, 3)) == 9
-
-    def test_base_expansion(self):
-        ix = PathIndexer(4, 3)
-        assert ix.decode(64) == (4, 4, 4)
-        assert ix.decode(1) == (1, 1, 1)
-
-    def test_bijection_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(60):
-            l = int(rng.integers(2, 11))  # noqa: E741
-            m = int(rng.integers(1, 4))
-            ix = PathIndexer(l, m)
-            comps = tuple(int(c) for c in rng.integers(1, l + 1, size=m))
-            assert ix.decode(ix.encode(comps)) == comps
-            p = int(rng.integers(1, ix.n_paths + 1))
-            assert ix.encode(ix.decode(p)) == p
-
-    def test_out_of_range(self):
-        ix = PathIndexer(3, 2)
-        with pytest.raises(IndexError):
-            ix.encode((0, 1))
-        with pytest.raises(IndexError):
-            ix.encode((1, 4))
-        with pytest.raises(IndexError):
-            ix.decode(10)
-
+class TestPathComponents:
     def test_all_components_order(self):
-        ix = PathIndexer(3, 2)
-        comps = ix.all_components()
-        assert comps.shape == (9, 2)
-        for p in range(1, 10):
-            assert tuple(comps[p - 1] + 1) == ix.decode(p)
+        # path p is the base-l expansion of p, first period most significant
+        for l in range(1, 6):  # noqa: E741
+            for m in range(1, 4):
+                comps = path_components(l, m)
+                assert comps.shape == (l**m, m)
+                for p in range(l**m):
+                    digits = [p // l ** (m - 1 - i) % l for i in range(m)]
+                    assert comps[p].tolist() == digits
 
 
 class TestDistanceMatrix:
@@ -140,10 +112,8 @@ class TestDistanceMatrix:
     def test_two_period_euclidean(self):
         theta = Theta(np.array([0.0, 1.0]))
         d = distance_matrix(theta, 2)
-        ix = PathIndexer(2, 2)
-        p00 = ix.encode((1, 1)) - 1
-        p11 = ix.encode((2, 2)) - 1
-        assert d[p00, p11] == pytest.approx(np.sqrt(2.0))
+        # paths (0, 0) and (1, 1) are the first and the last
+        assert d[0, 3] == pytest.approx(np.sqrt(2.0))
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(3)

@@ -16,13 +16,13 @@ from volrepair.market_data import (
     StressScenario,
     apply_stress,
     bs_call_price,
-    denormalize,
     fit_forward_discount,
     implied_vol,
     normalize,
     parse_quotes,
 )
 
+from conftest import denormalize
 from oracles import lognormal_call_quadrature
 
 

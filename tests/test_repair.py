@@ -141,7 +141,7 @@ class TestRepairPipeline:
                 objective_every=None,
             )
             assert rep.converged, f"no convergence at eps={eps}"
-            warm = [v.copy() for v in state.scalings]
+            warm = [v.copy() for v in state]
         cost_ent = float((m * prob.dist).sum())
         assert abs(cost_ent - v_lp) <= 0.01 * abs(v_lp)
         mu = m.sum(axis=1) - prob.nu.nu_minus

@@ -10,15 +10,13 @@ from volrepair.market_data import StressScenario, apply_stress
 from volrepair.signed_measure import (
     JointSignedMeasure,
     build_joint,
-    check_lemma_identity,
     decompose,
     marginal_weights,
-    pricing_function,
     product_target,
 )
 
 from conftest import make_surface, prepared, random_instance
-from oracles import projection_formula
+from oracles import check_lemma_identity, pricing_function, projection_formula
 
 
 def theta_012():
@@ -29,7 +27,7 @@ class TestMarginalWeights:
     def test_symmetric_tent(self):
         marg = marginal_weights([0.0, 1.0, 2.0], [1.0, 0.25, 0.0], theta_012())
         np.testing.assert_allclose(marg.weights, [0.25, 0.5, 0.25], atol=1e-15)
-        assert marg.mean() == pytest.approx(1.0, abs=1e-15)
+        assert marg.weights @ marg.theta.strikes == pytest.approx(1.0, abs=1e-15)
 
     def test_dirac_at_forward(self):
         marg = marginal_weights([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], theta_012())
@@ -54,7 +52,7 @@ class TestMarginalWeights:
             theta = Theta(ks)
             marg = marginal_weights(ks, cs, theta)
             assert marg.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert marg.mean() == pytest.approx(1.0, abs=1e-12)
+            assert marg.weights @ marg.theta.strikes == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_strikes_guarded(self):
         with pytest.raises(ZeroDivisionError):
@@ -69,7 +67,7 @@ class TestMarginalWeights:
         cs = np.concatenate([[1.0], desk_surface.prices[0], [0.0]])
         marg = marginal_weights(ks, cs, theta)
         assert np.all(marg.weights >= -1e-14)
-        assert marg.mean() == pytest.approx(1.0, abs=1e-12)
+        assert marg.weights @ marg.theta.strikes == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPricingFunction:
