@@ -82,11 +82,15 @@ def root_find(
     """Root of lam -> <exp(lam c), c * x> - rhs for nonzero c and x > 0.
 
     The map is strictly increasing, so every evaluation pins the root to one
-    side; safeguarded Newton steps (falling back to bisection once a bracket
-    exists, geometric jumps before that) converge from any start. ``x0``
-    warm-starts the search, typically from the previous sweep's root.
-    The search keeps exponent arguments within ``SAFE_EXPONENT``;
-    ``InstabilityError`` means the root lies beyond that cap.
+    side. Each step is the Newton step when it is finite, keeps every
+    exponent argument within ``SAFE_EXPONENT``, stays inside the bracket
+    (once both sides are known) and is at most half the previous step: the
+    step-halving test of ``rtsafe`` (Press et al., Numerical Recipes 9.4).
+    Otherwise the step is a bisection of the bracket or, before a bracket
+    exists, a geometric jump (stride x4) clamped to the cap. ``x0``
+    warm-starts the search, typically from the previous sweep's root, so
+    Newton usually settles in a few steps. ``InstabilityError`` means the
+    function at the cap still has its starting sign: the root lies beyond.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -101,13 +105,20 @@ def root_find(
         e = np.exp(lam * coeffs)
         return float(e @ cx) - rhs, float(e @ c2x)
 
+    def newton_step(lam: float, val: float, gp: float) -> float | None:
+        """The Newton iterate if it is finite and inside the cap."""
+        if not (gp > 0 and np.isfinite(val)):
+            return None
+        cand = lam - val / gp
+        return cand if abs(cand) <= safe_lam else None
+
     tol_abs = ROOT_TOL * max(1.0, abs(rhs))
     lam = 0.0
     if x0 is not None and np.isfinite(x0) and abs(x0) < safe_lam:
         lam = float(x0)
     lo, hi = -np.inf, np.inf
     stride = 1.0
-    width_prev = np.inf
+    step_prev = np.inf
     val, gp = g_pair(lam)
     for _ in range(200):
         if abs(val) <= tol_abs:
@@ -116,41 +127,23 @@ def root_find(
             hi = lam
         else:
             lo = lam
-        if np.isfinite(lo) and np.isfinite(hi) and hi - lo <= 1e-15 * max(
-            1.0, abs(lo), abs(hi)
-        ):
+        bracketed = np.isfinite(lo) and np.isfinite(hi)
+        if bracketed and hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             # bracket exhausted: the root is resolved to float precision even
             # if cancellation noise keeps |g| above the absolute tolerance
             break
-        newton = lam - val / gp if gp > 0 and np.isfinite(val) else None
-        if np.isfinite(lo) and np.isfinite(hi):
-            width = hi - lo
-            # Newton may crawl from the flat side of the exponential; force a
-            # bisection whenever the last step failed to halve the bracket
-            allow_newton = width <= 0.5 * width_prev
-            width_prev = width
-            cand = (
-                newton
-                if allow_newton and newton is not None and lo < newton < hi
-                else 0.5 * (lo + hi)
-            )
-        else:
-            # no bracket yet: jump geometrically, stopping at the exponent cap,
-            # and let Newton overtake when it stays inside the cap. Still on
-            # the starting side at the cap means the root lies beyond it.
-            at_cap = lam <= -safe_lam if val > 0 else lam >= safe_lam
-            if at_cap:
-                raise InstabilityError(
-                    label, "bracket expansion exceeded safe exponent"
-                )
-            if val > 0:
-                jump = max(lam - stride, -safe_lam)
+        if not bracketed and (lam <= -safe_lam if val > 0 else lam >= safe_lam):
+            # still on the starting side at the cap: the root lies beyond it
+            raise InstabilityError(label, "bracket expansion exceeded safe exponent")
+        cand = newton_step(lam, val, gp)
+        if cand is None or not lo < cand < hi or abs(cand - lam) > 0.5 * step_prev:
+            if bracketed:
+                cand = 0.5 * (lo + hi)
             else:
-                jump = min(lam + stride, safe_lam)
-            stride *= 4.0
-            cand = jump
-            if newton is not None and abs(newton) <= safe_lam:
-                cand = min(newton, jump) if val > 0 else max(newton, jump)
+                jump = lam - stride if val > 0 else lam + stride
+                cand = min(max(jump, -safe_lam), safe_lam)
+                stride *= 4.0
+        step_prev = abs(cand - lam)
         lam = cand
         val, gp = g_pair(lam)
     else:
@@ -158,9 +151,11 @@ def root_find(
     # polish: a few extra Newton steps while they strictly help
     best, best_g, best_gp = lam, val, gp
     for _ in range(3):
-        if abs(best_g) <= 1e-3 * tol_abs or best_gp <= 0:
+        if abs(best_g) <= 1e-3 * tol_abs:
             break
-        cand = best - best_g / best_gp
+        cand = newton_step(best, best_g, best_gp)
+        if cand is None:
+            break
         cand_g, cand_gp = g_pair(cand)
         if not np.isfinite(cand_g) or abs(cand_g) >= abs(best_g):
             break
@@ -283,6 +278,12 @@ def sinkhorn_run(
     sweep = _Sweep(kernel, system, nu, initial_scalings)
     history: list[dict] = []
 
+    def objectives(m: np.ndarray) -> dict:
+        # eps * KL(m, G) is both the primal and the first term of the gap
+        primal = kernel.epsilon * kl_divergence(m, g)
+        gap = primal - _dual_value(m, sweep.a, kernel, system, nu)
+        return {"primal_kl": primal, "duality_gap": gap}
+
     # sweep n ends at the (n, R-1) iterate; the (0, R-1) iterate is the raw
     # kernel. The column substep closing a sweep runs only if another follows.
     n_iter = 0
@@ -292,9 +293,7 @@ def sinkhorn_run(
         crit = _marginal_criterion(row, col, system, nu)
         entry = {"n": n_iter, "substep": system.n_rows + 1, "criterion": crit}
         if objective_every and n_iter % objective_every == 0:
-            m = sweep.coupling()
-            entry["primal_kl"] = kernel.epsilon * kl_divergence(m, g)
-            entry["duality_gap"] = duality_gap(m, sweep.a, kernel, system, nu)
+            entry.update(objectives(sweep.coupling()))
         history.append(entry)
         if crit < e_tol or n_iter == max_iters:
             break
@@ -308,8 +307,10 @@ def sinkhorn_run(
     m = sweep.coupling()
     report = SinkhornReport(crit < e_tol, n_iter, crit, history)
     if objective_every:
-        report.primal_kl = kernel.epsilon * kl_divergence(m, g)
-        report.duality_gap = duality_gap(m, sweep.a, kernel, system, nu)
+        # the last row already holds them when it fell on the stride
+        final = entry if "primal_kl" in entry else objectives(m)
+        report.primal_kl = final["primal_kl"]
+        report.duality_gap = final["duality_gap"]
     return m, sweep.a, report
 
 
@@ -324,6 +325,19 @@ def duality_gap(
 
     ``m`` is the coupling the scalings reproduce, diag(product of the row
     scalings) G diag(column scaling); its mass enters the dual.
+    """
+    primal = kernel.epsilon * kl_divergence(m, kernel.G)
+    return primal - _dual_value(m, scalings, kernel, system, nu)
+
+
+def _dual_value(
+    m: np.ndarray,
+    scalings: list[np.ndarray],
+    kernel: GibbsKernel,
+    system,
+    nu: JointSignedMeasure,
+) -> float:
+    """Dual objective at the scalings; ``m`` is the coupling they reproduce.
 
     The conjugate terms have closed forms: affine rows contribute their
     multiplier times the shifted right-hand side, the box row pairs with the
@@ -346,9 +360,7 @@ def duality_gap(
     dual += float(u_box @ nu.nu_minus)
     u_col = eps * np.log(scalings[-1])
     dual += float(u_col @ nu.nu_plus)
-    dual -= eps * float(m.sum() - kernel.G.sum())
-    primal = eps * kl_divergence(m, kernel.G)
-    return primal - dual
+    return dual - eps * float(m.sum() - kernel.G.sum())
 
 
 def epsilon_sweep(

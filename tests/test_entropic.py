@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import volrepair.entropic as ent
 from volrepair.entropic import (
     SAFE_EXPONENT,
     duality_gap,
@@ -76,6 +79,21 @@ class TestKl:
         assert entropy(pi2) == pytest.approx(1.0 + np.log(3.0), abs=1e-12)
 
 
+def _root_find_evals(c, x, rhs, x0=None) -> tuple[float, int]:
+    """root_find's result and how many times it evaluated the function."""
+    calls = []
+    real_exp = ent.np.exp
+
+    def counting_exp(*args, **kwargs):
+        calls.append(None)
+        return real_exp(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ent.np, "exp", counting_exp)
+        lam = root_find(c, x, rhs, x0=x0)
+    return lam, len(calls)
+
+
 class TestRootFind:
     def test_single_entry_closed_form(self):
         lam = root_find(np.array([1.0]), np.array([2.0]), 1.0)
@@ -137,10 +155,54 @@ class TestRootFind:
         lam = root_find(c, x, rhs, x0=x0)
         assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
+    def test_polish_never_evaluates_past_the_cap(self):
+        # rhs sits below the absolute tolerance (1e-12), so the warm start
+        # -65.9 already solves the row; the polish Newton step from there
+        # lands near 8e12, far past the cap (252.6), where exp overflows
+        c, x = np.array([2.7712, 0.9]), np.array([3.0, 2.5])
+        rhs = 2.8e-13
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = root_find(c, x, rhs, x0=-65.9)
+            cold = root_find(c, x, rhs)
+        assert lam == -65.9
+        assert abs(np.exp(cold * c) @ (c * x) - rhs) <= 1e-12
+
+    def test_warm_started_row_settles_in_a_few_evaluations(self):
+        # a centering-type row captured from an m=2 repair with a calibration
+        # mark, warm-started 1e-3 short of its root as in a late sweep
+        c = np.array([-1.1, -0.2, -0.15, -0.1, -0.05, 0.11])
+        x = np.array(
+            [14.982865713347, 0.042557078164524, 0.044183129859685,
+             0.044697225770651, 0.044076925425235, 0.037061118377799]
+        )
+        rhs = -0.013388175358148317
+        lam, evals = _root_find_evals(c, x, rhs, x0=6.496479603368)
+        assert lam == pytest.approx(6.4974816653, abs=1e-9)
+        assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-12
+        assert evals <= 5
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        positive=st.booleans(),
+        frac=st.floats(-0.5, 0.5),
+        offset=st.floats(-1e-3, 1e-3),
+    )
+    def test_warm_start_near_the_root_is_cheap(self, data, n, positive, frac, offset):
+        mags = data.draw(st.lists(st.floats(1e-4, 3.0), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        c = np.array(mags) * (1.0 if positive else np.array(signs))
+        x = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+        root = frac * SAFE_EXPONENT / np.max(np.abs(c))
+        rhs = float(np.exp(root * c) @ (c * x))
+        lam, evals = _root_find_evals(c, x, rhs, x0=root + offset * max(1.0, abs(root)))
+        assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-9 * max(1.0, abs(rhs))
+        assert evals <= 6
+
     def test_no_convergence_is_solver_error(self, monkeypatch):
         # without the exponent cap the same search runs out of steps
-        import volrepair.entropic as ent
-
         monkeypatch.setattr(ent, "SAFE_EXPONENT", np.inf)
         with pytest.raises(SolverError, match="failed to converge"):
             root_find(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
@@ -361,6 +423,30 @@ class TestDualityGap:
         scalings = [np.ones(n) for _ in range(prob.system.n_rows + 2)]
         gap = duality_gap(kern.G, scalings, kern, prob.system, prob.nu)
         assert abs(gap) <= 1e-12
+
+    def test_run_takes_one_kl_per_objective_row(self, small_problem, monkeypatch):
+        # primal_kl and duality_gap share one eps * KL(m, G) per history row,
+        # and the final report reuses the last row's when it has one
+        prob = small_problem
+        kern = gibbs_kernel(prob.dist, 0.7)
+        real_kl = ent.kl_divergence
+        calls = []
+
+        def counting_kl(m, g):
+            calls.append(None)
+            return real_kl(m, g)
+
+        monkeypatch.setattr(ent, "kl_divergence", counting_kl)
+        for k, final_on_stride in ((8, True), (9, False)):
+            calls.clear()
+            m, scalings, report = sinkhorn_run(
+                kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=2
+            )
+            rows = [h for h in report.history if "primal_kl" in h]
+            assert len(calls) == len(rows) + (0 if final_on_stride else 1)
+            assert report.primal_kl == kern.epsilon * real_kl(m, kern.G)
+            gap = duality_gap(m, scalings, kern, prob.system, prob.nu)
+            assert report.duality_gap == gap
 
 
 class TestEpsilonSweep:
