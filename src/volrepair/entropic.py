@@ -3,8 +3,12 @@
 The regularized coupling is a diagonal scaling of the Gibbs kernel: one
 positive vector per constraint block (affine rows of the martingale system,
 the box constraint from the negative part, and the fixed column marginal).
-Each sweep updates the scalings in turn; affine substeps reduce to finding
-the root of an explicit monotone scalar function. The test references it is
+Each sweep updates the scalings in turn; an affine row's projection reduces
+to the root of an explicit monotone scalar function. The martingality rows
+of one level touch disjoint paths, so their projections commute and the
+sweep takes them as one block: one vectorized Newton finds all their roots,
+and a row it cannot settle falls back to the scalar root-find. Mass,
+centering and calibration rows are scalar root-finds. The test references it is
 checked against (full-matrix Dykstra, per-substep iterates, the single-block
 prox and the dense stopping criterion) live in ``tests/oracles.py``.
 """
@@ -20,6 +24,7 @@ from .signed_measure import JointSignedMeasure
 
 SAFE_EXPONENT = 700.0
 ROOT_TOL = 1e-12
+NEWTON_STEPS = 8  # vectorized Newton steps per level before lanes go scalar
 DEFAULT_E_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100_000
 
@@ -41,6 +46,7 @@ class SinkhornReport:
     history: list[dict] = field(default_factory=list)
     primal_kl: float | None = None
     duality_gap: float | None = None
+    row_blocks: int = 0  # affine projections per sweep
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ def root_find(
         cand = lam - val / gp
         return cand if abs(cand) <= safe_lam else None
 
-    tol_abs = ROOT_TOL * max(1.0, abs(rhs))
+    tol_abs = _residual_tol(coeffs, rhs)
     lam = 0.0
     if x0 is not None and np.isfinite(x0) and abs(x0) < safe_lam:
         lam = float(x0)
@@ -163,81 +169,240 @@ def root_find(
     return best
 
 
-class _Blocks:
-    """The R constraint blocks: affine rows, the box row, the column marginal.
+def _residual_tol(coeffs: np.ndarray, rhs: float) -> float:
+    """Residual at which a row's root is accepted.
 
-    Every block's KL projection is a diagonal scaling of the coupling, so
-    ``scaling(r, y)`` returns the new scaling vector of 0-based block ``r``
-    given the block's current image ``y`` (row sums for row blocks, column
-    sums for the last). Affine roots warm-start from the block's last root.
+    ROOT_TOL * max(1, |rhs|) in general. When the coefficients share one
+    sign, the function flattens towards -rhs on one side, so below |rhs| = 1
+    that absolute tolerance leaves the root loose (and with |rhs| under it,
+    any lam far enough out passes); such rows stop on ROOT_TOL * |rhs|.
+    """
+    if abs(rhs) < 1.0 and (np.all(coeffs > 0) or np.all(coeffs < 0)):
+        return ROOT_TOL * abs(rhs)
+    return ROOT_TOL * max(1.0, abs(rhs))
+
+
+class _Affine:
+    """Consecutive affine rows with disjoint supports, projected as one block.
+
+    Row ``j`` of the block (row ``start + j`` of the system) has the
+    coefficients ``coef[bounds[j]:bounds[j + 1]]`` on the paths
+    ``support[bounds[j]:bounds[j + 1]]``; ``seg`` holds ``j`` for each of
+    them. Disjoint supports make the rows' KL projections commute, so one
+    step solves all their roots and scales each path by the root of its row.
+    """
+
+    def __init__(self, start, stop, support, seg, coef, rhs):
+        self.start, self.stop = start, stop
+        self.support, self.seg, self.coef, self.rhs = support, seg, coef, rhs
+        self.bounds = np.searchsorted(seg, np.arange(stop - start + 1))
+        heads = self.bounds[:-1]
+        self.safe_lam = SAFE_EXPONENT / np.maximum.reduceat(np.abs(coef), heads)
+        self.tol = np.array(
+            [_residual_tol(coef[i:j], r) for i, j, r in zip(heads, self.bounds[1:], rhs)]
+        )
+        # last root(s), the next warm start: a float for a single row
+        self.lam: float | np.ndarray | None = None
+
+    def scaling(self, y: np.ndarray) -> np.ndarray:
+        x = y[self.support]
+        if self.stop - self.start == 1:
+            self.lam = root_find(
+                self.coef, x, float(self.rhs[0]), label=self.start + 1, x0=self.lam
+            )
+            exponent = self.lam * self.coef
+        else:
+            warm = np.zeros(self.rhs.size) if self.lam is None else self.lam
+            self.lam = self._roots(x, warm)
+            exponent = self.lam[self.seg] * self.coef
+        out = np.ones(y.size)
+        out[self.support] = np.exp(exponent)
+        return out
+
+    def _roots(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Every row's root from one vectorized Newton, warm-started at ``lam``.
+
+        Each lane takes ``root_find``'s Newton test: the step is finite,
+        inside the lane's cap and at most half its previous step. A lane
+        within its tolerance stops once at 1e-3 of it, or when a step would
+        not shrink its residual. A lane whose step fails the test before it
+        meets its tolerance, or that is still outside it after
+        ``NEWTON_STEPS``, is handed to ``root_find`` warm-started where it
+        stands, which brackets, caps and raises on that row alone.
+        """
+        seg, coef, rhs, tol = self.seg, self.coef, self.rhs, self.tol
+        k = rhs.size
+        cx = coef * x
+        c2x = coef * cx
+
+        def evaluate(lam):
+            e = np.exp(lam[seg] * coef)
+            return np.bincount(seg, e * cx, k) - rhs, np.bincount(seg, e * c2x, k)
+
+        val, gp = evaluate(lam)
+        res = np.abs(val)
+        step_prev = np.full(k, np.inf)
+        active = ~(res <= 1e-3 * tol)
+        with np.errstate(all="ignore"):  # a bad step fails its lane's test
+            for _ in range(NEWTON_STEPS):
+                if not active.any():
+                    break
+                delta = val / gp
+                step = np.abs(delta)
+                cand = lam - delta
+                ok = active & (np.abs(cand) <= self.safe_lam) & (step <= 0.5 * step_prev)
+                if not ok.any():
+                    break
+                new_val, new_gp = evaluate(np.where(ok, cand, lam))
+                new_res = np.abs(new_val)
+                take = ok & ((res > tol) | (new_res < res))
+                lam = np.where(take, cand, lam)
+                val = np.where(take, new_val, val)
+                res = np.where(take, new_res, res)
+                gp = np.where(take, new_gp, gp)
+                step_prev = np.where(take, step, step_prev)
+                active = take & ~(res <= 1e-3 * tol)
+        for j in np.flatnonzero(~(res <= tol)).tolist():
+            i, e = self.bounds[j], self.bounds[j + 1]
+            lam[j] = root_find(
+                coef[i:e], x[i:e], float(rhs[j]), label=self.start + j + 1, x0=float(lam[j])
+            )
+        return lam
+
+    def rows(self, vec: np.ndarray) -> list[np.ndarray]:
+        """The block's scaling split into one vector per row.
+
+        Row 0 also keeps whatever the block holds off its rows' supports, so
+        the rows' product is ``vec`` exactly.
+        """
+        if self.stop - self.start == 1:
+            return [vec]
+        out = [vec.copy()]
+        out[0][self.support[self.bounds[1]:]] = 1.0
+        for i, j in zip(self.bounds[1:-1], self.bounds[2:]):
+            row = np.ones(vec.size)
+            row[self.support[i:j]] = vec[self.support[i:j]]
+            out.append(row)
+        return out
+
+
+class _Blocks:
+    """The sweep's blocks: affine blocks, the box row, the column marginal.
+
+    Martingality rows of one level touch disjoint paths and form one affine
+    block; every other affine row is a block of its own. Every block's KL
+    projection is a diagonal scaling of the coupling, so ``scaling(b, y)``
+    returns the new scaling vector of 0-based block ``b`` given the block's
+    current image ``y`` (row sums for row blocks, column sums for the last).
+    ``substeps[b]`` is the 1-based substep of the block's first row.
     """
 
     def __init__(self, system, nu: JointSignedMeasure):
-        self.A = system.A
-        self.rows = []  # (support, nonzero coefficients) of each affine row
-        for row in system.A:
-            support = np.nonzero(row)[0]
-            self.rows.append((support, row[support]))
+        row_of, support = np.nonzero(system.A)
+        coef = system.A[row_of, support]
+        self.n_rows = system.n_rows
+        self.row_of, self.coef = row_of, coef
+        self.coef_sq = np.bincount(row_of, coef * coef, self.n_rows)
         self.rhs = system.b + system.A @ nu.nu_minus  # shifted by the box part
         self.nu = nu
-        self.roots: list[float | None] = [None] * system.n_rows
+        ptr = np.searchsorted(row_of, np.arange(self.n_rows + 1))
+        self.affine: list[_Affine] = []
+        for start, stop in _row_groups(system.row_kinds):
+            i, j = ptr[start], ptr[stop]
+            if np.bincount(support[i:j]).max() > 1:  # overlapping: one by one
+                spans = [(r, r + 1) for r in range(start, stop)]
+            else:
+                spans = [(start, stop)]
+            for s, e in spans:
+                i, j = ptr[s], ptr[e]
+                self.affine.append(
+                    _Affine(s, e, support[i:j], row_of[i:j] - s, coef[i:j], self.rhs[s:e])
+                )
+        self.substeps = [blk.start + 1 for blk in self.affine]
+        self.substeps += [self.n_rows + 1, self.n_rows + 2]
 
-    def scaling(self, r: int, y: np.ndarray) -> np.ndarray:
-        n_aff = len(self.rows)
-        if r < n_aff:
-            support, coef = self.rows[r]
-            lam = root_find(
-                coef, y[support], float(self.rhs[r]), label=r + 1, x0=self.roots[r]
-            )
-            self.roots[r] = lam
-            return np.exp(lam * self.A[r])
-        if r == n_aff:
+    def scaling(self, b: int, y: np.ndarray) -> np.ndarray:
+        n_aff = len(self.affine)
+        if b < n_aff:
+            return self.affine[b].scaling(y)
+        if b == n_aff:
             return np.maximum(self.nu.nu_minus / y, 1.0)
         return self.nu.nu_plus / y
+
+    def join(self, scalings: list[np.ndarray]) -> list[np.ndarray]:
+        """One vector per block from the R per-row scalings."""
+        if len(scalings) != self.n_rows + 2:
+            raise ValueError("initial scalings block count mismatch")
+        out = [np.prod(scalings[b.start:b.stop], axis=0, dtype=float) for b in self.affine]
+        return out + [np.array(v, dtype=float) for v in scalings[-2:]]
+
+    def split(self, a: list[np.ndarray]) -> list[np.ndarray]:
+        """The R per-row scalings from one vector per block."""
+        out = []
+        for blk, vec in zip(self.affine, a):
+            out += blk.rows(vec)
+        return out + a[-2:]
+
+
+def _row_groups(kinds) -> list[tuple[int, int]]:
+    """Row spans [start, stop): one per martingality level, one per other row."""
+    spans: list[tuple[int, int]] = []
+    for r, kind in enumerate(kinds):
+        prev = kinds[r - 1] if r else None
+        if kind[0] == "martingality" and prev and prev[:2] == kind[:2]:
+            spans[-1] = (spans[-1][0], r + 1)
+        else:
+            spans.append((r, r + 1))
+    return spans
 
 
 class _Sweep:
     """Gauss-Seidel pass over the blocks, in scaling space.
 
-    Keeps the product ``rho`` of the row scalings and the kernel image
-    ``g_acol`` of the column scaling, so no substep materializes a coupling.
-    Starts from copies of ``scalings``, or from unit scalings.
+    Keeps one scaling per block, the product ``rho`` of the row-side ones
+    and the kernel image ``g_acol`` of the column scaling, so no substep
+    materializes a coupling. Starts from ``scalings`` (R per-row vectors; a
+    level's rows are multiplied into its block), or from unit scalings.
     """
 
     def __init__(self, kernel: GibbsKernel, system, nu, scalings=None):
         self.g = kernel.G
         self.blocks = _Blocks(system, nu)
-        n_blocks = system.n_rows + 2
+        n = self.g.shape[0]
         if scalings is None:
-            scalings = [np.ones(self.g.shape[0])] * n_blocks
-        elif len(scalings) != n_blocks:
-            raise ValueError("initial scalings block count mismatch")
-        self.a = [np.array(v, dtype=float) for v in scalings]
-        self.rho = np.ones(self.g.shape[0])
+            self.a = [np.ones(n) for _ in self.blocks.substeps]
+        else:
+            self.a = self.blocks.join(scalings)
+        self.rho = np.ones(n)
         for v in self.a[:-1]:
             self.rho = self.rho * v
         self.g_acol = self.g @ self.a[-1]
 
     def row_substeps(self):
-        """Affine rows, then the box row; yields after each substep."""
+        """Affine blocks, then the box row; yields each block's index after its step."""
         a = self.a
-        for r in range(len(a) - 1):
-            y = (self.rho / a[r]) * self.g_acol
-            _check_finite_positive(y, r + 1, "scaled kernel image")
-            new = self.blocks.scaling(r, y)
-            self.rho = self.rho * (new / a[r])
-            a[r] = new
-            _check_finite_positive(self.rho, r + 1, "row scaling product")
-            yield
+        for b in range(len(a) - 1):
+            substep = self.blocks.substeps[b]
+            y = (self.rho / a[b]) * self.g_acol
+            _check_finite_positive(y, substep, "scaled kernel image")
+            new = self.blocks.scaling(b, y)
+            self.rho = self.rho * (new / a[b])
+            a[b] = new
+            _check_finite_positive(self.rho, substep, "row scaling product")
+            yield b
 
     def column_update(self, gt_rho: np.ndarray):
         """Column-marginal substep; ``gt_rho`` is G^T rho."""
         self.a[-1] = self.blocks.scaling(len(self.a) - 1, gt_rho)
-        _check_finite_positive(self.a[-1], len(self.a), "column scaling")
+        _check_finite_positive(self.a[-1], self.blocks.substeps[-1], "column scaling")
         self.g_acol = self.g @ self.a[-1]
 
     def coupling(self) -> np.ndarray:
         return (self.rho[:, None] * self.g) * self.a[-1][None, :]
+
+    def row_scalings(self) -> list[np.ndarray]:
+        """The R per-row scaling vectors the blocks amount to."""
+        return self.blocks.split(self.a)
 
 
 def _marginal_criterion(row: np.ndarray, col: np.ndarray, system, nu) -> float:
@@ -266,7 +431,9 @@ def sinkhorn_run(
     """Multi-constrained scaling iteration until the criterion drops below e_tol.
 
     Never materializes couplings during substeps: each sweep costs two
-    kernel matrix-vector products plus one scalar root-find per affine row.
+    kernel matrix-vector products plus one projection per affine block.
+    The martingality rows of one level form one block whose roots come from
+    one vectorized Newton; every other affine row is a scalar root-find.
     The returned coupling is the one whose criterion met the tolerance,
     together with the R scaling vectors that reproduce it (affine rows, the
     box row, then the column marginal). Objective columns in the
@@ -281,7 +448,7 @@ def sinkhorn_run(
     def objectives(m: np.ndarray) -> dict:
         # eps * KL(m, G) is both the primal and the first term of the gap
         primal = kernel.epsilon * kl_divergence(m, g)
-        gap = primal - _dual_value(m, sweep.a, kernel, system, nu)
+        gap = primal - _dual_value(m, sweep.blocks, sweep.a, kernel)
         return {"primal_kl": primal, "duality_gap": gap}
 
     # sweep n ends at the (n, R-1) iterate; the (0, R-1) iterate is the raw
@@ -305,13 +472,15 @@ def sinkhorn_run(
         gt_rho = g.T @ sweep.rho
 
     m = sweep.coupling()
-    report = SinkhornReport(crit < e_tol, n_iter, crit, history)
+    report = SinkhornReport(
+        crit < e_tol, n_iter, crit, history, row_blocks=len(sweep.blocks.affine)
+    )
     if objective_every:
         # the last row already holds them when it fell on the stride
         final = entry if "primal_kl" in entry else objectives(m)
         report.primal_kl = final["primal_kl"]
         report.duality_gap = final["duality_gap"]
-    return m, sweep.a, report
+    return m, sweep.row_scalings(), report
 
 
 def duality_gap(
@@ -327,39 +496,33 @@ def duality_gap(
     scalings) G diag(column scaling); its mass enters the dual.
     """
     primal = kernel.epsilon * kl_divergence(m, kernel.G)
-    return primal - _dual_value(m, scalings, kernel, system, nu)
+    blocks = _Blocks(system, nu)
+    return primal - _dual_value(m, blocks, blocks.join(scalings), kernel)
 
 
 def _dual_value(
-    m: np.ndarray,
-    scalings: list[np.ndarray],
-    kernel: GibbsKernel,
-    system,
-    nu: JointSignedMeasure,
+    m: np.ndarray, blocks: _Blocks, a: list[np.ndarray], kernel: GibbsKernel
 ) -> float:
-    """Dual objective at the scalings; ``m`` is the coupling they reproduce.
+    """Dual objective at the block scalings ``a``; ``m`` is their coupling.
 
     The conjugate terms have closed forms: affine rows contribute their
     multiplier times the shifted right-hand side, the box row pairs with the
     negative part (its dual variable must stay nonnegative), the fixed row
-    pairs with the positive part.
+    pairs with the positive part. A row's multiplier is the least-squares
+    fit of log(scaling) = lam * coefficient on its support.
     """
     eps = kernel.epsilon
-    blocks = _Blocks(system, nu)
-    n_aff = system.n_rows
-    dual = 0.0
-    for r, (support, coef) in enumerate(blocks.rows):
-        log_a = np.log(scalings[r][support])
-        lam = float((coef @ log_a) / (coef @ coef))
-        dual += eps * lam * float(blocks.rhs[r])
-    u_box = eps * np.log(scalings[n_aff])
+    log_a = np.concatenate([np.log(v[b.support]) for b, v in zip(blocks.affine, a)])
+    fit = np.bincount(blocks.row_of, blocks.coef * log_a, blocks.n_rows)
+    dual = eps * float((fit / blocks.coef_sq) @ blocks.rhs)
+    u_box = eps * np.log(a[-2])
     if np.any(u_box < -1e-10):
         raise DomainViolationError(
             f"box-row dual variable has negative component {u_box.min()}"
         )
-    dual += float(u_box @ nu.nu_minus)
-    u_col = eps * np.log(scalings[-1])
-    dual += float(u_col @ nu.nu_plus)
+    dual += float(u_box @ blocks.nu.nu_minus)
+    u_col = eps * np.log(a[-1])
+    dual += float(u_col @ blocks.nu.nu_plus)
     return dual - eps * float(m.sum() - kernel.G.sum())
 
 

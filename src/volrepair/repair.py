@@ -223,6 +223,7 @@ def repair(surface: NormalizedSurface, config: RepairConfig) -> RepairResult:
         cost = float((coupling * problem.dist).sum())
         diagnostics.update(
             {
+                "row_blocks": run_report.row_blocks,
                 "epsilon": config.epsilon,
                 "e_tol": config.e_tol,
                 "converged": run_report.converged,

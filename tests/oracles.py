@@ -191,9 +191,16 @@ def prox_vector(r, x, system, nu):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("prox input must be strictly positive")
-    if not 1 <= r <= system.n_rows + 2:
-        raise IndexError(f"substep {r} outside [1, {system.n_rows + 2}]")
-    return x * _Blocks(system, nu).scaling(r - 1, x)
+    n_aff = system.n_rows
+    if not 1 <= r <= n_aff + 2:
+        raise IndexError(f"substep {r} outside [1, {n_aff + 2}]")
+    if r <= n_aff:
+        row = system.A[r - 1]
+        support = np.nonzero(row)[0]
+        rhs = float(system.b[r - 1] + row @ nu.nu_minus)
+        return x * np.exp(root_find(row[support], x[support], rhs, label=r) * row)
+    blocks = _Blocks(system, nu)
+    return x * blocks.scaling(len(blocks.affine) + r - n_aff - 1, x)
 
 
 def stopping_criterion(m, system, nu):
@@ -205,18 +212,33 @@ def sinkhorn_iterates(kernel, system, nu, sweeps):
     """Dense couplings M(n, r) for every substep of a fixed number of sweeps.
 
     Runs the sweep of ``sinkhorn_run`` from unit scalings, for comparison
-    with the Dykstra reference; also returns the scaling vectors after each
-    sweep.
+    with the Dykstra reference; also returns the R per-row scaling vectors
+    after each sweep. The sweep takes a martingality level as one block
+    step; its rows touch disjoint paths, so the iterate after each of them
+    takes ``rho`` from after the step on the paths of the rows done so far
+    and from before it elsewhere.
     """
     g = kernel.G
     sweep = _Sweep(kernel, system, nu)
+    affine = sweep.blocks.affine
     couplings, scalings = [], []
     for _ in range(sweeps):
-        per_sweep = [sweep.coupling() for _ in sweep.row_substeps()]
+        per_sweep = []
+        before = sweep.rho
+        for b in sweep.row_substeps():
+            if b < len(affine):
+                blk = affine[b]
+                for end in blk.bounds[1:-1]:  # every row of the level but its last
+                    done = blk.support[:end]
+                    rho = before.copy()
+                    rho[done] = sweep.rho[done]
+                    per_sweep.append((rho[:, None] * g) * sweep.a[-1][None, :])
+            per_sweep.append(sweep.coupling())
+            before = sweep.rho
         sweep.column_update(g.T @ sweep.rho)
         per_sweep.append(sweep.coupling())
         couplings.append(per_sweep)
-        scalings.append([v.copy() for v in sweep.a])
+        scalings.append(sweep.row_scalings())
     return couplings, scalings
 
 

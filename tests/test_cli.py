@@ -162,6 +162,15 @@ class TestRepair:
         assert (out / "repaired_surface.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_report_counts_row_blocks(self, two_maturity_surface, tmp_path):
+        # mass, centering and one martingality level: three projections a sweep
+        csv = tmp_path / "two.csv"
+        write_quote_csv(two_maturity_surface, csv)
+        out = tmp_path / "rep_blocks"
+        main(["repair", str(csv), "--mode", "entropic", "--max-iters", "5", "--out", str(out)])
+        diag = json.loads((out / "report.json").read_text())["diagnostics"]
+        assert diag["row_blocks"] == 3 and diag["n_rows"] > 3
+
     def test_path_space_over_cap_exit_one(self, tmp_path, capsys):
         # m=3 with 15 shared strikes: L = 17 grid points, N = 17^3 = 4913 paths
         strikes = list(np.linspace(0.8, 1.2, 15))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,8 +17,9 @@ from volrepair.entropic import (
 )
 from volrepair.errors import InstabilityError, SolverError
 from volrepair.lp import solve_p_prime
+from volrepair.market_data import StressScenario, apply_stress
 
-from conftest import prepared, random_instance
+from conftest import make_surface, prepared, random_instance
 from oracles import (
     dykstra_run,
     entropy,
@@ -156,17 +158,19 @@ class TestRootFind:
         assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
     def test_polish_never_evaluates_past_the_cap(self):
-        # rhs sits below the absolute tolerance (1e-12), so the warm start
-        # -65.9 already solves the row; the polish Newton step from there
-        # lands near 8e12, far past the cap (252.6), where exp overflows
+        # from the flat tail at -65.9 the Newton step lands near 8e12, far
+        # past the cap (252.6), where exp overflows; rhs sits below the
+        # absolute tolerance (1e-12), so the row stops on the relative
+        # residual and both starts must reach the true root near -33.0
         c, x = np.array([2.7712, 0.9]), np.array([3.0, 2.5])
         rhs = 2.8e-13
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lam = root_find(c, x, rhs, x0=-65.9)
             cold = root_find(c, x, rhs)
-        assert lam == -65.9
-        assert abs(np.exp(cold * c) @ (c * x) - rhs) <= 1e-12
+        for root in (lam, cold):
+            assert abs(np.exp(root * c) @ (c * x) - rhs) <= 1e-12 * rhs
+        assert lam == pytest.approx(cold, rel=1e-12)
 
     def test_warm_started_row_settles_in_a_few_evaluations(self):
         # a centering-type row captured from an m=2 repair with a calibration
@@ -201,11 +205,92 @@ class TestRootFind:
         assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-9 * max(1.0, abs(rhs))
         assert evals <= 6
 
+    def test_tiny_rhs_one_sign_row_finds_its_root(self):
+        # captured from a stress run: both coefficients positive and rhs below
+        # the absolute tolerance (1e-12), so any lam far enough out used to
+        # pass; the solver returned -87.84 for a root near -35.67
+        c, x, rhs = np.array([2.772, 0.826]), np.array([3.166, 2.707]), 3.57e-13
+        lam = root_find(c, x, rhs)
+        assert lam == pytest.approx(-35.6728, abs=1e-4)
+        assert abs(np.exp(lam * c) @ (c * x) - rhs) <= 1e-12 * rhs
+        # the same row as one lane of a level, next to an ordinary row
+        blk, xs = _level([(c, x), (np.array([1.0, -0.5]), np.array([1.0, 2.0]))], [rhs, 0.3])
+        blk.scaling(xs)
+        assert blk.lam[0] == pytest.approx(lam, rel=1e-12)
+
     def test_no_convergence_is_solver_error(self, monkeypatch):
         # without the exponent cap the same search runs out of steps
         monkeypatch.setattr(ent, "SAFE_EXPONENT", np.inf)
         with pytest.raises(SolverError, match="failed to converge"):
             root_find(np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
+
+
+def _level(lanes, rhs, start=0):
+    """A level block whose row j has the coefficients lanes[j][0] on paths of
+    its own, and the image those paths carry (lanes[j][1], concatenated)."""
+    seg = np.repeat(np.arange(len(lanes)), [len(c) for c, _ in lanes])
+    coef = np.concatenate([np.asarray(c, dtype=float) for c, _ in lanes])
+    x = np.concatenate([np.asarray(xx, dtype=float) for _, xx in lanes])
+    rhs = np.asarray(rhs, dtype=float)
+    return ent._Affine(start, start + len(lanes), np.arange(seg.size), seg, coef, rhs), x
+
+
+def _lane(data):
+    """Coefficients, image and a root within half the cap, as in TestRootFind."""
+    n = data.draw(st.integers(1, 5))
+    mags = np.array(data.draw(st.lists(st.floats(1e-4, 3.0), min_size=n, max_size=n)))
+    if not data.draw(st.booleans()):
+        mags = mags * np.array(
+            data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        )
+    x = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    safe_lam = SAFE_EXPONENT / np.max(np.abs(mags))
+    root = data.draw(st.floats(-0.5, 0.5)) * safe_lam
+    return mags, x, float(np.exp(root * mags) @ (mags * x)), root, safe_lam
+
+
+class TestLevelRoots:
+    """One vectorized Newton over a level's rows against one root_find per row."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 6), start=st.sampled_from(["cold", "near", "far"]))
+    def test_matches_per_row_root_find(self, data, k, start):
+        lanes = [_lane(data) for _ in range(k)]
+        blk, x = _level([(c, xx) for c, xx, *_ in lanes], [r for _, _, r, *_ in lanes])
+        warm = [None] * k
+        if start != "cold":
+            for j, (_, _, _, root, safe_lam) in enumerate(lanes):
+                if start == "near":
+                    warm[j] = root + data.draw(st.floats(-1e-3, 1e-3)) * max(1.0, abs(root))
+                else:
+                    warm[j] = data.draw(st.floats(-1.0, 1.0)) * safe_lam
+            blk.lam = np.array(warm)
+        blk.scaling(x)
+        for j, (c, xx, rhs, _, safe_lam) in enumerate(lanes):
+            want = root_find(c, xx, rhs, x0=warm[j])
+            # relative in the lane's own unit 1/max|c|: the scalings
+            # exp(lam c) agree to 1e-12
+            unit = safe_lam / SAFE_EXPONENT
+            assert abs(blk.lam[j] - want) <= 1e-12 * max(unit, abs(want))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(2, 5),
+        first=st.integers(0, 40),
+        unreachable=st.booleans(),
+    )
+    def test_lane_past_the_cap_names_its_substep(self, data, k, first, unreachable):
+        lanes = [_lane(data)[:3] for _ in range(k)]
+        j = data.draw(st.integers(0, k - 1))
+        if unreachable:  # positive row, negative rhs: no root at all
+            lanes[j] = (np.array([1.0, 2.0]), np.array([1.0, 1.0]), -1.0)
+        else:  # root log(1e307) = 706.9, past the cap of 700
+            lanes[j] = (np.array([1.0]), np.array([1e-306]), 10.0)
+        blk, x = _level([(c, xx) for c, xx, _ in lanes], [r for *_, r in lanes], first)
+        with pytest.raises(InstabilityError) as err:
+            blk.scaling(x)
+        assert err.value.substep == first + j + 1
 
 
 @pytest.fixture
@@ -248,12 +333,38 @@ class TestProx:
             assert got == pytest.approx(float(rhs[r - 1]), abs=1e-9, rel=1e-9)
 
 
+def _three_period_problem(ks, mult):
+    """m=3 surface on three shared strikes, the middle one's price bumped."""
+    vol_fns = [(lambda sh: (lambda k: 0.2 + sh + 0.3 * (k - 1) ** 2))(0.03 * i) for i in range(3)]
+    surface = make_surface([0.25, 0.5, 1.0], [ks] * 3, vol_fns)
+    node = ks[1]
+    bands = {i: (((node - 1e-9, node + 1e-9), mult),) for i in range(3)}
+    return prepared(apply_stress(surface, StressScenario(bands=bands)))
+
+
 class TestSinkhornDykstra:
     def test_iterates_match_reference(self, small_problem):
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 0.5)
         ms, _ = sinkhorn_iterates(kern, prob.system, prob.nu, 50)
         xs, _ = dykstra_run(kern, prob.system, prob.nu, 50)
+        worst = max(
+            float(np.max(np.abs(m - x)))
+            for mm, xx in zip(ms, xs)
+            for m, x in zip(mm, xx)
+        )
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("ks,mult,eps", [((0.9, 1.0, 1.1), 1.5, 0.5),
+                                             ((0.85, 0.97, 1.12), 1.4, 1.0)])
+    def test_three_periods_match_reference(self, ks, mult, eps):
+        # C1 draws m <= 2, so it never reaches a second martingality level
+        prob = _three_period_problem(ks, mult)
+        assert prob.theta.l <= 5
+        kern = gibbs_kernel(prob.dist, eps)
+        ms, _ = sinkhorn_iterates(kern, prob.system, prob.nu, 20)
+        xs, _ = dykstra_run(kern, prob.system, prob.nu, 20)
+        assert len(ms[0]) == prob.system.n_rows + 2
         worst = max(
             float(np.max(np.abs(m - x)))
             for mm, xx in zip(ms, xs)
@@ -301,6 +412,45 @@ class TestSinkhornRun:
         assert report.final_criterion < 5e-6
         assert len(report.history) == report.iterations + 1
         assert all(np.isfinite(h["criterion"]) for h in report.history)
+
+    def test_scalar_root_finds_only_for_single_rows(self, monkeypatch):
+        # mass and centering are rows of their own; the 5 + 25 martingality
+        # rows are two levels, each solved by one vectorized Newton. Lanes
+        # fall back to root_find only from the first sweep's cold start.
+        prob = _three_period_problem((0.9, 1.0, 1.1), 1.5)
+        kern = gibbs_kernel(prob.dist, 0.5)
+        real_root_find = ent.root_find
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["label"])
+            return real_root_find(*args, **kwargs)
+
+        monkeypatch.setattr(ent, "root_find", counting)
+        k = 30
+        _, _, report = sinkhorn_run(
+            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=None
+        )
+        assert prob.system.n_rows == 32 and report.row_blocks == 4
+        assert calls.count(1) == calls.count(2) == k
+        assert len(calls) <= 2 * k + 30
+
+    def test_overlapping_rows_tagged_as_one_level_run_one_by_one(self):
+        # a level is one block only where its rows really touch disjoint paths
+        surface = random_instance(np.random.default_rng(5), m=1, max_interior=3)
+        prob = prepared(surface, calibration_marks=((0, 0), (0, 1)))
+        system = prob.system
+        tagged = dataclasses.replace(
+            system,
+            row_kinds=system.row_kinds[:2] + (("martingality", 1, (1,)), ("martingality", 1, (2,))),
+        )
+        kern = gibbs_kernel(prob.dist, 0.7)
+        runs = [
+            sinkhorn_run(kern, sys_, prob.nu, e_tol=0.0, max_iters=5, objective_every=None)
+            for sys_ in (system, tagged)
+        ]
+        assert runs[1][2].row_blocks == system.n_rows == 4
+        assert np.array_equal(runs[0][0], runs[1][0])
 
     def test_returned_coupling_reconstructs_from_scalings(self, small_problem):
         prob = small_problem
