@@ -224,7 +224,7 @@ def cmd_repair(args) -> int:
 
     base_vols = surface_vols(base)
     stressed_vols = base_vols if stressed is base else surface_vols(stressed)
-    repaired_vols = surface_vols(repaired)
+    repaired_vols = stressed_vols if repaired is stressed else surface_vols(repaired)
     files = {
         "repaired_surface.csv": _surface_csv(repaired, repaired_vols),
         "smiles.csv": _smiles_csv(

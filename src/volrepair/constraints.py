@@ -12,16 +12,20 @@ when marginals mu_1..mu_m on the grid exist that have unit mass and unit
 mean, reprice the quotes, and increase in convex order (Strassen); convex
 order between measures on the grid needs checking only at its knots. That
 LP has (2m - 1) * L variables instead of the L^m of the path space.
+
+When the LP is feasible its marginals are kept as a certificate, and
+:func:`martingale_chain` turns them into a path-space martingale: one small
+LP per adjacent pair finds a one-step martingale kernel between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
-from .errors import DegenerateCalibrationError, DuplicateConstraintError
+from .errors import DegenerateCalibrationError, DuplicateConstraintError, SolverError
 from .grid import (
     CalibrationTarget,
     DEFAULT_KMAX_MARGIN,
@@ -76,6 +80,11 @@ class ArbitrageReport:
     feasible: bool
     violations: tuple[Violation, ...] = ()
     lp_checked: bool = False
+    # when the LP found the surface feasible: its grid and the (m, L)
+    # marginals that reprice every quote and increase in convex order
+    certificate: tuple[Theta, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_json_dict(self, surface: NormalizedSurface | None = None) -> dict:
         rows = []
@@ -304,6 +313,18 @@ def _marginal_feasibility_system(
     return a, b
 
 
+def _marginal_certificate(
+    surface: NormalizedSurface, kmax_margin: float
+) -> tuple[Theta, np.ndarray | None, float]:
+    """The detector LP: (its grid, the (m, L) marginals or None, residual)."""
+    targets, theta = _detector_grid(surface, kmax_margin)
+    m = surface.n_maturities
+    a, b = _marginal_feasibility_system(theta, m, targets)
+    x, residual = lp.feasible_point(a, b)
+    marginals = None if x is None else x[: m * theta.l].reshape(m, theta.l)
+    return theta, marginals, residual
+
+
 def martingale_feasible(
     surface: NormalizedSurface,
     kmax_margin: float = DEFAULT_KMAX_MARGIN,
@@ -315,9 +336,49 @@ def martingale_feasible(
     increase in convex order at the grid knots. Returns (feasible, the
     phase-1 residual, 0 when feasible).
     """
-    targets, theta = _detector_grid(surface, kmax_margin)
-    a, b = _marginal_feasibility_system(theta, surface.n_maturities, targets)
-    return lp.check_feasibility(a, b)
+    _, marginals, residual = _marginal_certificate(surface, kmax_margin)
+    return marginals is not None, residual
+
+
+def _kernel_system(
+    x: np.ndarray, mu_from: np.ndarray, mu_to: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows {a pi = b, pi >= 0} of the martingale couplings of two marginals.
+
+    pi is L x L, row-major; its row sums are mu_from, its column sums mu_to,
+    and each row a has zero mean increment, sum_b pi(a, b) (x_b - x_a) = 0.
+    """
+    eye, ones = np.eye(x.size), np.ones(x.size)
+    a = np.vstack(
+        [np.kron(eye, ones), np.kron(ones, eye), np.kron(eye, x) - np.kron(np.diag(x), ones)]
+    )
+    return a, np.concatenate([mu_from, mu_to, np.zeros(x.size)])
+
+
+def martingale_chain(theta: Theta, marginals: np.ndarray) -> np.ndarray:
+    """A path-space martingale with the given marginals, path-major.
+
+    ``marginals`` (m, L) must have equal means and increase in convex order,
+    as the detector's certificate does; a martingale coupling pi of each
+    adjacent pair then exists (Strassen 1965) and one phase-1 LP on L^2
+    variables finds it (Dantzig's rule: Bland's takes ~60x the pivots on
+    these degenerate transport rows). The measure is the Markov chain
+    mu_1 (x) K_1 (x) ... (x) K_{m-1} with K_i = pi_i / mu_i on mu_i's support.
+    """
+    l = theta.l  # noqa: E741
+    mu = marginals[0].copy()
+    for i, (lo, hi) in enumerate(zip(marginals[:-1], marginals[1:]), start=1):
+        pi, residual = lp.feasible_point(
+            *_kernel_system(theta.strikes, lo, hi), dantzig=True
+        )
+        if pi is None:
+            raise SolverError(
+                f"no martingale kernel from period {i} to {i + 1} (residual {residual:.3g})"
+            )
+        kernel = np.zeros((l, l))
+        kernel[lo > 0] = pi.reshape(l, l)[lo > 0] / lo[lo > 0, None]
+        mu = (mu.reshape(-1, l, 1) * kernel).reshape(-1)
+    return mu
 
 
 def detect_arbitrage(
@@ -328,15 +389,15 @@ def detect_arbitrage(
     """Two-stage detector: necessary smile/calendar checks, then the LP.
 
     The second stage runs only when the node checks find nothing; it is
-    :func:`martingale_feasible`, whose residual becomes the magnitude of a
-    single ``lp_infeasible`` violation.
+    :func:`martingale_feasible`'s LP, whose residual becomes the magnitude
+    of a single ``lp_infeasible`` violation and whose marginals become the
+    report's ``certificate`` when it finds some.
     """
     violations = _smile_violations(surface, tol) + _calendar_violations(surface, tol)
     if violations:
         return ArbitrageReport(feasible=False, violations=tuple(violations))
-    feasible, infeas = martingale_feasible(surface, kmax_margin)
-    if not feasible:
-        violations.append(Violation("lp_infeasible", ("surface",), float(infeas)))
-    return ArbitrageReport(
-        feasible=not violations, violations=tuple(violations), lp_checked=True
-    )
+    theta, marginals, infeas = _marginal_certificate(surface, kmax_margin)
+    if marginals is None:
+        violation = Violation("lp_infeasible", ("surface",), float(infeas))
+        return ArbitrageReport(feasible=False, violations=(violation,), lp_checked=True)
+    return ArbitrageReport(feasible=True, lp_checked=True, certificate=(theta, marginals))

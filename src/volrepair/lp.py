@@ -22,6 +22,8 @@ DEFAULT_VAR_CAP = 5000
 _RC_TOL = 1e-9  # reduced-cost / dual feasibility tolerance
 _PIV_TOL = 1e-11  # smallest pivot magnitude accepted
 _FEAS_TOL = 1e-9  # phase-1 objective below this counts as feasible
+# degenerate pivots in a row after which the Dantzig rule hands over to Bland's
+_DANTZIG_STALL = 50
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,20 @@ class LpSolution:
     infeasibility: float = 0.0
 
 
-def _bland_simplex(c, a, b, basis, iter_cap=200_000):
+def _bland_simplex(c, a, b, basis, iter_cap=200_000, dantzig=False):
     """Run simplex on standard form from a given feasible basis (in place).
 
     Returns (status, basis, x_basic, y, iterations); Bland's rule for both
-    the entering and leaving choices prevents cycling.
+    the entering and leaving choices prevents cycling. With ``dantzig`` the
+    most negative reduced cost enters instead, which takes far fewer pivots
+    on degenerate systems such as transport couplings; after
+    ``_DANTZIG_STALL`` degenerate pivots in a row Bland's rule enters until
+    a pivot moves the point, so the run cannot cycle.
     """
     m, n = a.shape
     in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
-    iters = 0
+    iters = stalled = 0
     while True:
         bmat = a[:, basis]
         try:
@@ -80,7 +86,10 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000):
         eligible = ~in_basis & (reduced < -_RC_TOL)
         if not eligible.any():
             return "optimal", basis, x_b, y, iters
-        entering = int(np.argmax(eligible))  # smallest eligible index (Bland)
+        if dantzig and stalled < _DANTZIG_STALL:
+            entering = int(np.argmin(np.where(eligible, reduced, 0.0)))
+        else:
+            entering = int(np.argmax(eligible))  # smallest eligible index (Bland)
         w = np.linalg.solve(bmat, a[:, entering])
         ratios = np.full(m, np.inf)
         mask = w > _PIV_TOL
@@ -88,6 +97,7 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000):
         theta = ratios.min()
         if not np.isfinite(theta):
             return "unbounded", basis, x_b, y, iters
+        stalled = stalled + 1 if theta <= _PIV_TOL else 0
         # Bland: among (near-)minimal ratios, leave the smallest basic index
         tied = np.where(ratios <= theta * (1 + 1e-12) + 1e-300)[0]
         leaving_row = min(tied, key=lambda r: basis[r])
@@ -99,7 +109,7 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000):
             raise SolverError("simplex iteration cap exceeded")
 
 
-def _solve_standard_form(c, a, b):
+def _solve_standard_form(c, a, b, dantzig=False):
     """Two-phase simplex for min c.x s.t. a x = b, x >= 0."""
     a = a.copy()
     b = b.copy()
@@ -112,36 +122,40 @@ def _solve_standard_form(c, a, b):
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, basis, x_b, _, it1 = _bland_simplex(c1, a1, b, basis)
+    status, basis, x_b, _, it1 = _bland_simplex(c1, a1, b, basis, dantzig=dantzig)
     if status != "optimal":
         raise SolverError("phase 1 cannot be unbounded")
     infeas = float(c1[basis] @ x_b)
     if infeas > _FEAS_TOL:
         return LpSolution(status="infeasible", iterations=it1, infeasibility=infeas)
 
-    # drive artificials out; an all-zero row among originals is redundant
-    keep_rows = list(range(m))
+    # Drive artificials out. An artificial whose tableau row is zero over the
+    # originals cannot leave: its own constraint, the one where its unit
+    # column has the 1, is a combination of the others and is dropped along
+    # with its basis position.
+    keep_rows, keep_pos = list(range(m)), list(range(m))
     basis_set = set(basis)
-    for row in range(m):
-        if basis[row] < n:
+    for pos in range(m):
+        if basis[pos] < n:
             continue
         bmat = a1[:, basis]
-        tab_row = np.linalg.solve(bmat, a)[row]
+        tab_row = np.linalg.solve(bmat, a)[pos]
         candidates = np.where(np.abs(tab_row) > 1e-9)[0]
         pivot = next((int(j) for j in candidates if j not in basis_set), -1)
         if pivot >= 0:
-            basis_set.discard(basis[row])
+            basis_set.discard(basis[pos])
             basis_set.add(pivot)
-            basis[row] = pivot
+            basis[pos] = pivot
         else:
-            keep_rows.remove(row)
+            keep_rows.remove(basis[pos] - n)
+            keep_pos.remove(pos)
     if len(keep_rows) < m:
         a = a[keep_rows]
         b = b[keep_rows]
-        basis = [basis[r] for r in keep_rows]
+        basis = [basis[p] for p in keep_pos]
         m = len(keep_rows)
 
-    status, basis, x_b, y, it2 = _bland_simplex(c, a, b, basis)
+    status, basis, x_b, y, it2 = _bland_simplex(c, a, b, basis, dantzig=dantzig)
     iters = it1 + it2
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
@@ -167,14 +181,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return _solve_standard_form(problem.objective, problem.eq_matrix, problem.eq_rhs)
 
 
-def check_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
-    """Phase-1 test of {x >= 0 : a x = b}; returns (feasible, residual)."""
+def feasible_point(
+    a: np.ndarray, b: np.ndarray, dantzig: bool = False
+) -> tuple[np.ndarray | None, float]:
+    """Phase-1 search in {x >= 0 : a x = b}.
+
+    Returns (a point of the set, 0.0), or (None, the phase-1 residual) when
+    the set is empty. ``dantzig`` picks the simplex's entering rule (see
+    :func:`_bland_simplex`); it changes which point is found, not whether.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    sol = _solve_standard_form(np.zeros(a.shape[1]), a, b)
+    sol = _solve_standard_form(np.zeros(a.shape[1]), a, b, dantzig=dantzig)
     if sol.status == "infeasible":
-        return False, sol.infeasibility
-    return True, 0.0
+        return None, sol.infeasibility
+    return sol.x, 0.0
+
+
+def check_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
+    """Phase-1 test of {x >= 0 : a x = b}; returns (feasible, residual)."""
+    x, residual = feasible_point(a, b)
+    return x is not None, residual
 
 
 def solve_p_prime(

@@ -4,11 +4,16 @@ The pipeline fixes the grid, builds the signed measure from the (possibly
 stressed) prices, projects it onto the martingale set with either the exact
 LP or the entropic scaling solver, and reads repaired prices back off the
 projected marginals so the output is a bona fide model-consistent price set.
+
+A surface the detector finds arbitrage-free has nothing to remove: it comes
+back unchanged, at cost 0, on the detector's grid, with a martingale built
+from the detector's marginals as its measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,9 +24,14 @@ from .constraints import (
     build_joint_system,
     build_martingale_system,
     detect_arbitrage,
+    martingale_chain,
     ArbitrageReport,
 )
-from .errors import InvalidCalibrationError, ProblemTooLargeError
+from .errors import (
+    DuplicateConstraintError,
+    InvalidCalibrationError,
+    ProblemTooLargeError,
+)
 from .grid import (
     CalibrationTarget,
     DEFAULT_KMAX_MARGIN,
@@ -76,13 +86,18 @@ class ProjectionProblem:
     surface: NormalizedSurface
     theta: Theta
     m: int
-    dist: np.ndarray
     marginals: list[SignedMarginal]
     nu: JointSignedMeasure
     base_system: ConstraintSystem
     system: ConstraintSystem
     calibration: list[CalibrationTarget]
     k_max: float
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """Path-to-path distances, N x N, built on first use: a clean
+        repair never solves a projection and never needs them."""
+        return distance_matrix(self.theta, self.m)
 
 
 @dataclass
@@ -100,6 +115,8 @@ class RepairResult:
 def calibration_targets(
     surface: NormalizedSurface, marks: tuple[tuple[int, int], ...]
 ) -> list[CalibrationTarget]:
+    if len(set(marks)) < len(marks):
+        raise DuplicateConstraintError(f"calibration marks {list(marks)} repeat a node")
     targets = []
     for i, j in marks:
         k, c = surface.node(i, j)
@@ -127,9 +144,13 @@ def _marked_subsurface(
 
 
 def prepare_projection(
-    surface: NormalizedSurface, config: RepairConfig
+    surface: NormalizedSurface, config: RepairConfig, theta: Theta | None = None
 ) -> ProjectionProblem:
-    """Fix the grid, build marginals, the joint measure, and the system."""
+    """Fix the grid, build marginals, the joint measure, and the system.
+
+    The grid is ``theta`` when given, else its k_max comes from the marks
+    and ``config.kmax_margin`` (:func:`~volrepair.grid.choose_kmax`).
+    """
     targets = calibration_targets(surface, config.calibration_marks)
     if targets:
         sub = _marked_subsurface(surface, targets)
@@ -139,8 +160,10 @@ def prepare_projection(
                 "calibration sub-grid is arbitrageable: "
                 + "; ".join(v.kind for v in sub_report.violations)
             )
-    k_max = choose_kmax(surface, targets or None, margin=config.kmax_margin)
-    theta = build_theta(surface, k_max)
+    if theta is None:
+        theta = build_theta(
+            surface, choose_kmax(surface, targets or None, margin=config.kmax_margin)
+        )
     m = surface.n_maturities
     if theta.l**m > MAX_PATHS:
         raise ProblemTooLargeError(
@@ -155,18 +178,16 @@ def prepare_projection(
     joint_sys = build_joint_system(base, marginals)
     nu = build_joint(marginals, joint_sys, shift=config.shift)
     system = build_calibrated_system(base, targets, theta) if targets else base
-    dist = distance_matrix(theta, m)
     return ProjectionProblem(
         surface=surface,
         theta=theta,
         m=m,
-        dist=dist,
         marginals=marginals,
         nu=nu,
         base_system=base,
         system=system,
         calibration=targets,
-        k_max=k_max,
+        k_max=theta.k_max,
     )
 
 
@@ -189,54 +210,33 @@ def _repriced_surface(
 
 
 def repair(surface: NormalizedSurface, config: RepairConfig) -> RepairResult:
-    """Project the surface's signed measure onto the martingale set."""
+    """Project the surface's signed measure onto the martingale set.
+
+    A surface the detector finds feasible is returned as it is, with cost 0,
+    ``report_after`` equal to ``report_before`` and the problem on the
+    detector's grid; its ``mu`` is :func:`martingale_chain` of the detector's
+    marginals, which reprices every quote.
+    """
     report_before = detect_arbitrage(surface, kmax_margin=config.kmax_margin)
-    problem = prepare_projection(surface, config)
+    clean = report_before.feasible
+    theta, marginals = report_before.certificate if clean else (None, None)
+    problem = prepare_projection(surface, config, theta)
     diagnostics: dict = {
         "mode": config.mode,
+        "clean_input": clean,
         "k_max": problem.k_max,
         "shift": config.shift,
         "alpha": problem.nu.alpha,
         "n_paths": problem.system.n_paths,
         "n_rows": problem.system.n_rows,
     }
-    if config.mode == "lp_exact":
-        coupling, mu, cost = lp.solve_p_prime(
-            problem.dist,
-            problem.nu.nu_plus,
-            problem.nu.nu_minus,
-            problem.system.A,
-            problem.system.b,
-        )
-        diagnostics["w1_value"] = cost
+    if clean:
+        mu, cost = martingale_chain(theta, marginals), 0.0
+        repaired, report_after = surface, report_before
     else:
-        kernel = entropic.gibbs_kernel(problem.dist, config.epsilon)
-        coupling, state, run_report = entropic.sinkhorn_run(
-            kernel,
-            problem.system,
-            problem.nu,
-            e_tol=config.e_tol,
-            max_iters=config.max_iters,
-            objective_every=HISTORY_OBJECTIVES_EVERY,
-        )
-        mu = coupling.sum(axis=1) - problem.nu.nu_minus
-        cost = float((coupling * problem.dist).sum())
-        diagnostics.update(
-            {
-                "row_blocks": run_report.row_blocks,
-                "epsilon": config.epsilon,
-                "e_tol": config.e_tol,
-                "converged": run_report.converged,
-                "iterations": run_report.iterations,
-                "final_criterion": run_report.final_criterion,
-                "kl_value": run_report.primal_kl,
-                "duality_gap": run_report.duality_gap,
-                "history": run_report.history,
-                "kernel_floored_entries": kernel.floored_entries,
-            }
-        )
-    repaired = _repriced_surface(surface, problem.theta, mu, problem.m)
-    report_after = detect_arbitrage(repaired, kmax_margin=config.kmax_margin)
+        mu, cost = _project(problem, config, diagnostics)
+        repaired = _repriced_surface(surface, problem.theta, mu, problem.m)
+        report_after = detect_arbitrage(repaired, kmax_margin=config.kmax_margin)
     if problem.calibration:
         marg_cache = {
             i: extract_marginal(mu, problem.theta.l, problem.m, i + 1)
@@ -264,6 +264,48 @@ def repair(surface: NormalizedSurface, config: RepairConfig) -> RepairResult:
         diagnostics=diagnostics,
         problem=problem,
     )
+
+
+def _project(
+    problem: ProjectionProblem, config: RepairConfig, diagnostics: dict
+) -> tuple[np.ndarray, float]:
+    """Solve the projection in the configured mode; returns (mu, cost) and
+    records the solver's figures in ``diagnostics``."""
+    if config.mode == "lp_exact":
+        _, mu, cost = lp.solve_p_prime(
+            problem.dist,
+            problem.nu.nu_plus,
+            problem.nu.nu_minus,
+            problem.system.A,
+            problem.system.b,
+        )
+        diagnostics["w1_value"] = cost
+        return mu, cost
+    kernel = entropic.gibbs_kernel(problem.dist, config.epsilon)
+    coupling, _, run_report = entropic.sinkhorn_run(
+        kernel,
+        problem.system,
+        problem.nu,
+        e_tol=config.e_tol,
+        max_iters=config.max_iters,
+        objective_every=HISTORY_OBJECTIVES_EVERY,
+    )
+    diagnostics.update(
+        {
+            "row_blocks": run_report.row_blocks,
+            "epsilon": config.epsilon,
+            "e_tol": config.e_tol,
+            "converged": run_report.converged,
+            "iterations": run_report.iterations,
+            "final_criterion": run_report.final_criterion,
+            "kl_value": run_report.primal_kl,
+            "duality_gap": run_report.duality_gap,
+            "history": run_report.history,
+            "kernel_floored_entries": kernel.floored_entries,
+        }
+    )
+    mu = coupling.sum(axis=1) - problem.nu.nu_minus
+    return mu, float((coupling * problem.dist).sum())
 
 
 def _price_changes(before: NormalizedSurface, after: NormalizedSurface) -> list[dict]:

@@ -163,13 +163,41 @@ class TestRepair:
         assert (out / "manifest.json").exists()
 
     def test_report_counts_row_blocks(self, two_maturity_surface, tmp_path):
-        # mass, centering and one martingality level: three projections a sweep
+        # mass, centering and one martingality level: three projections a
+        # sweep; the ATM stress makes the clean fixture reach the solver
         csv = tmp_path / "two.csv"
         write_quote_csv(two_maturity_surface, csv)
+        scenario = tmp_path / "atm_both.json"
+        scenario.write_text(json.dumps(
+            {"bands": [{"maturities": "all", "lo": 0.975, "hi": 1.025, "mult": 1.3}]}
+        ))
         out = tmp_path / "rep_blocks"
-        main(["repair", str(csv), "--mode", "entropic", "--max-iters", "5", "--out", str(out)])
+        main(["repair", str(csv), "--scenario", str(scenario), "--mode", "entropic",
+              "--max-iters", "5", "--out", str(out)])
         diag = json.loads((out / "report.json").read_text())["diagnostics"]
+        assert diag["clean_input"] is False
         assert diag["row_blocks"] == 3 and diag["n_rows"] > 3
+
+    @pytest.mark.parametrize("mode", ["lp_exact", "entropic"])
+    def test_clean_input_comes_back_unchanged(self, two_maturity_surface, tmp_path, mode):
+        csv = tmp_path / "two.csv"
+        write_quote_csv(two_maturity_surface, csv)
+        out = tmp_path / f"clean_{mode}"
+        code = main(["repair", str(csv), "--mode", mode, "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["transport_cost"] == 0.0
+        assert report["feasible_before"] is report["feasible_after"] is True
+        assert report["diagnostics"]["clean_input"] is True
+        assert "converged" not in report["diagnostics"]
+        assert not (out / "history.csv").exists()
+        # same input, same text: the stressed and repaired columns are the quotes
+        for row in (out / "smiles.csv").read_text().splitlines()[1:]:
+            cells = row.split(",")
+            assert cells[2] == cells[4] == cells[6] and cells[3] == cells[5] == cells[7]
+        weights = [float(r.split(",")[-1]) for r in
+                   (out / "mu_measure.csv").read_text().splitlines()[1:]]
+        assert min(weights) >= 0.0 and sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_path_space_over_cap_exit_one(self, tmp_path, capsys):
         # m=3 with 15 shared strikes: L = 17 grid points, N = 17^3 = 4913 paths

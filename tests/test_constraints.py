@@ -11,9 +11,11 @@ from volrepair.constraints import (
     build_joint_system,
     build_martingale_system,
     detect_arbitrage,
+    martingale_chain,
     martingale_feasible,
 )
-from volrepair.errors import DuplicateConstraintError
+from volrepair import lp
+from volrepair.errors import DuplicateConstraintError, SolverError
 from volrepair.grid import (
     DEFAULT_KMAX_MARGIN,
     Theta,
@@ -328,6 +330,60 @@ class TestMarginalDetector:
         assert theta.l**4 == 20_736  # paths; the marginal LP has 7 * 12 variables
         report = detect_arbitrage(surface)
         assert report.feasible and report.lp_checked
+
+    def test_certificate_marginals_reprice_the_quotes(self, two_maturity_surface):
+        report = detect_arbitrage(two_maturity_surface)
+        theta, marginals = report.certificate
+        assert marginals.shape == (2, theta.l) and marginals.min() >= 0.0
+        for i, k, c in all_node_targets(two_maturity_surface):
+            assert abs(np.maximum(theta.strikes - k, 0.0) @ marginals[i] - c) <= 1e-12
+        assert report == detect_arbitrage(two_maturity_surface)  # not compared
+
+    def test_no_certificate_without_a_feasible_lp(self, desk_stressed):
+        assert detect_arbitrage(desk_stressed).certificate is None  # node checks
+        for surface in LP_ONLY_SURFACES:
+            assert detect_arbitrage(surface).certificate is None
+
+
+class TestMartingaleChain:
+    def test_one_period_is_the_marginal(self):
+        theta = Theta(np.array([0.0, 1.0, 2.0]))
+        marginals = np.array([[0.25, 0.5, 0.25]])
+        np.testing.assert_array_equal(martingale_chain(theta, marginals), marginals[0])
+
+    def test_wide_two_period_surface(self, monkeypatch):
+        # 27 strikes, L = 29: the kernel LP has 841 variables and 87 rows;
+        # Bland's rule needs about 29k pivots on it, Dantzig's about 500
+        ks = np.linspace(0.8, 1.2, 27)
+        surface = make_surface(
+            [0.2, 0.5], [ks, ks],
+            [lambda k: 0.2 + 0.3 * (k - 1) ** 2, lambda k: 0.21 + 0.3 * (k - 1) ** 2],
+        )
+        theta, marginals = detect_arbitrage(surface).certificate
+        pivots = []
+        simplex = lp._bland_simplex
+
+        def counted(*args, **kwargs):
+            out = simplex(*args, **kwargs)
+            pivots.append(out[4])
+            return out
+
+        monkeypatch.setattr(lp, "_bland_simplex", counted)
+        mu = martingale_chain(theta, marginals)
+        assert sum(pivots) <= 2000
+        assert mu.min() >= 0.0
+        system = build_martingale_system(theta, 2)
+        assert np.max(np.abs(system.A @ mu - system.b)) <= 1e-12
+        for period in (1, 2):
+            marg = mu.reshape(theta.l, theta.l).sum(axis=2 - period)
+            np.testing.assert_allclose(marg, marginals[period - 1], atol=1e-12)
+
+    def test_pair_out_of_convex_order_is_solver_error(self):
+        # a spread-out first marginal cannot contract to a point
+        theta = Theta(np.array([0.0, 1.0, 2.0]))
+        marginals = np.array([[0.25, 0.5, 0.25], [0.0, 1.0, 0.0]])
+        with pytest.raises(SolverError, match="period 1 to 2"):
+            martingale_chain(theta, marginals)
 
 
 class TestKmaxFeasibility:

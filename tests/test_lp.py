@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volrepair.errors import (
     KmaxTooSmallError,
@@ -12,6 +13,7 @@ from volrepair.lp import (
     LpProblem,
     _bland_simplex,
     check_feasibility,
+    feasible_point,
     solve_eq_lsq,
     solve_lp,
     solve_p_prime,
@@ -105,6 +107,56 @@ class TestFeasibility:
         ok, infeas = check_feasibility(np.array([[1.0, 1.0]]), [-1.0])
         assert not ok
         assert infeas > 0.5
+
+    def test_redundant_row_of_a_kernel_system(self):
+        # martingale couplings of two 3-point marginals in convex order: the
+        # row sums, column sums and zero-mean rows are dependent, and the
+        # artificial that stays basic at zero sits in a tableau position
+        # other than its own constraint's index
+        a, b = _kernel_rows(np.array([0.0, 1.0, 2.0]), [0.2, 0.6, 0.2], [0.3, 0.4, 0.3])
+        ok, infeas = check_feasibility(a, b)
+        assert ok and infeas == 0.0
+        x, _ = feasible_point(a, b)
+        assert x.min() >= 0.0
+        assert np.max(np.abs(a @ x - b)) <= 1e-12
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), dantzig=st.booleans())
+    def test_convex_ordered_pairs_have_a_martingale_coupling(self, seed, n, dantzig):
+        # mu_to = mu_from K for a random martingale kernel K on n points:
+        # each row keeps its point or spreads it to two others around it
+        # with the same mean
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n - 1))])
+        mu_from = rng.dirichlet(np.ones(n))
+        kernel = np.zeros((n, n))
+        for i in range(n):
+            lo, hi = int(rng.integers(0, i + 1)), int(rng.integers(i, n))
+            stay = rng.uniform() if lo < i < hi else 1.0
+            kernel[i, i] += stay
+            if stay < 1.0:
+                w_hi = (x[i] - x[lo]) / (x[hi] - x[lo])
+                kernel[i, hi] += (1.0 - stay) * w_hi
+                kernel[i, lo] += (1.0 - stay) * (1.0 - w_hi)
+        a, b = _kernel_rows(x, mu_from, mu_from @ kernel)
+        x_found, infeas = feasible_point(a, b, dantzig=dantzig)
+        assert x_found is not None, f"phase-1 residual {infeas}"
+        assert x_found.min() >= 0.0
+        assert np.max(np.abs(a @ x_found - b)) <= 1e-9
+
+
+def _kernel_rows(x, mu_from, mu_to):
+    """pi >= 0 (L x L, row-major) with row sums mu_from, column sums mu_to
+    and sum_b pi(a, b) (x_b - x_a) = 0 for every a."""
+    l = x.size  # noqa: E741
+    rows = []
+    for i in range(l):
+        rows.append(np.kron(np.eye(l)[i], np.ones(l)))
+    for j in range(l):
+        rows.append(np.kron(np.ones(l), np.eye(l)[j]))
+    for i in range(l):
+        rows.append(np.kron(np.eye(l)[i], x - x[i]))
+    return np.array(rows), np.concatenate([mu_from, mu_to, np.zeros(l)])
 
 
 class TestPPrime:

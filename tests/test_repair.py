@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from volrepair.errors import InvalidCalibrationError
+from volrepair.constraints import (
+    _detector_grid,
+    all_node_targets,
+    build_martingale_system,
+    detect_arbitrage,
+)
+from volrepair.errors import (
+    DuplicateConstraintError,
+    InvalidCalibrationError,
+    ProblemTooLargeError,
+)
+from volrepair.grid import DEFAULT_KMAX_MARGIN
 from volrepair.market_data import StressScenario, apply_stress, surface_vols
 from volrepair.repair import (
     RepairConfig,
@@ -10,7 +22,7 @@ from volrepair.repair import (
     repair,
 )
 
-from conftest import make_surface, TWO_MAT_STRIKES
+from conftest import make_surface, random_instance, TWO_MAT_STRIKES
 
 
 class TestExtractMarginal:
@@ -56,10 +68,8 @@ class TestRepairPipeline:
         result = repair(desk_surface, RepairConfig(mode="lp_exact"))
         assert result.report_before.feasible
         assert result.report_after.feasible
-        assert result.transport_cost == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(
-            result.repaired_surface.prices[0], desk_surface.prices[0], atol=1e-8
-        )
+        assert result.transport_cost == 0.0
+        assert np.array_equal(result.repaired_surface.prices[0], desk_surface.prices[0])
 
     def test_atm_stress_lp_repair(self, desk_stressed):
         result = repair(desk_stressed, RepairConfig(mode="lp_exact"))
@@ -222,3 +232,102 @@ class TestRepairPipeline:
         for k, c, v in zip(ks, prices, vols[0]):
             on_bound = c - max(1.0 - k, 0.0) <= 1e-10 or 1.0 - c <= 1e-10
             assert on_bound == np.isnan(v)
+
+
+MODES = ("lp_exact", "entropic")
+
+
+def _assert_clean_contract(surface, result):
+    """Prices bitwise the input's, cost 0, and a nonnegative martingale on
+    the detector's grid that reprices every quote."""
+    assert result.report_before.feasible and result.diagnostics["clean_input"]
+    assert result.report_after == result.report_before
+    assert result.transport_cost == 0.0
+    for before, after in zip(surface.prices, result.repaired_surface.prices):
+        assert np.array_equal(before, after)
+    assert "converged" not in result.diagnostics
+    _, theta = _detector_grid(surface, DEFAULT_KMAX_MARGIN)
+    assert np.array_equal(result.theta.strikes, theta.strikes)
+    m, mu = surface.n_maturities, result.mu
+    assert mu.min() >= 0.0
+    for i, k, c in all_node_targets(surface):
+        marg = extract_marginal(mu, theta.l, m, i + 1)
+        assert abs(price_from_marginal(marg, theta.strikes, k) - c) <= 1e-9
+    system = build_martingale_system(theta, m)
+    assert np.max(np.abs(system.A @ mu - system.b)) <= 1e-9
+
+
+def random_clean_surface(rng):
+    """Smooth smiles with variance rising in maturity, m <= 3, strikes
+    shared or drawn per maturity from one pool; at most 1331 paths."""
+    m = int(rng.integers(1, 4))
+    n_pool = int(rng.integers(2, {1: 30, 2: 30, 3: 9}[m] + 1))  # L = n_pool + 2
+    pool = 0.8 + 0.01 * np.sort(rng.choice(41, n_pool, replace=False))
+    shared = rng.random() < 0.5
+    strikes = [
+        pool if shared else np.sort(rng.choice(pool, int(rng.integers(2, n_pool + 1)),
+                                               replace=False))
+        for _ in range(m)
+    ]
+    maturities = list(np.cumsum(rng.uniform(0.05, 0.5, m)))
+    base, curv = rng.uniform(0.12, 0.35), rng.uniform(0.0, 0.6)
+    vols = [
+        (lambda lift: (lambda k: base + lift + curv * (k - 1.0) ** 2))(0.01 * i)
+        for i in range(m)
+    ]
+    return make_surface(maturities, strikes, vols)
+
+
+class TestCleanInput:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            make_surface([2.0], [[0.9, 1.0]], [lambda k: 0.8]),
+            make_surface([1.0], [[0.8, 0.9, 1.0]], [lambda k: 0.5]),
+        ],
+        ids=["m1k2-t2", "m1k3-t1"],
+    )
+    def test_too_close_grid_comes_back_unchanged(self, surface, mode):
+        # the uncalibrated k_max = 1.1 admits no martingale for these
+        # quotes; the projection on it moved them by up to 0.34
+        result = repair(surface, RepairConfig(mode=mode))
+        _assert_clean_contract(surface, result)
+        assert result.theta.k_max > 1.1
+
+    def test_two_maturity_fixture_unchanged_both_modes(self, two_maturity_surface):
+        for mode in MODES:
+            result = repair(two_maturity_surface, RepairConfig(mode=mode))
+            _assert_clean_contract(two_maturity_surface, result)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES))
+    def test_random_clean_surfaces(self, seed, mode):
+        surface = random_clean_surface(np.random.default_rng(seed))
+        assume(detect_arbitrage(surface).feasible)
+        _assert_clean_contract(surface, repair(surface, RepairConfig(mode=mode)))
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_lp_repair_is_idempotent(self, seed):
+        # three in four draws are stressed into arbitrage, the rest clean
+        rng = np.random.default_rng(seed)
+        m, stress = int(rng.integers(1, 3)), bool(rng.random() < 0.75)
+        surface = random_instance(rng, m=m, max_interior=3, stress=stress)
+        first = repair(surface, RepairConfig(mode="lp_exact"))
+        assume(first.report_after.feasible)
+        again = repair(first.repaired_surface, RepairConfig(mode="lp_exact"))
+        assert again.transport_cost == 0.0
+        for a, b in zip(first.repaired_surface.prices, again.repaired_surface.prices):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_clean_input_still_validated(self, desk_surface, mode):
+        with pytest.raises(DuplicateConstraintError):
+            repair(desk_surface, RepairConfig(mode=mode, calibration_marks=((0, 2), (0, 2))))
+        # m=3 with 15 shared strikes: N = 17^3 = 4913 paths, over the cap
+        wide = make_surface([0.25, 0.5, 1.0], [list(np.linspace(0.8, 1.2, 15))] * 3,
+                            [lambda k: 0.2] * 3)
+        assert detect_arbitrage(wide).feasible
+        with pytest.raises(ProblemTooLargeError):
+            repair(wide, RepairConfig(mode=mode))
