@@ -46,17 +46,29 @@ def _load_surface(path: str) -> NormalizedSurface:
     return normalize(quotes, curve)
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_scenario(path: str, n_maturities: int) -> StressScenario:
-    spec = json.loads(Path(path).read_text())
+    spec = _read_json(path)
     bands: dict[int, list] = {}
-    for entry in spec.get("bands", []):
-        mats = entry.get("maturities", "all")
-        if mats == "all":
-            mats = list(range(n_maturities))
-        band = ((float(entry["lo"]), float(entry["hi"])), float(entry["mult"]))
-        for i in mats:
-            bands.setdefault(int(i), []).append(band)
-    marks = tuple((int(i), int(j)) for i, j in spec.get("calibration_marks", []))
+    try:
+        for entry in spec.get("bands", []):
+            mats = entry.get("maturities", "all")
+            band = ((float(entry["lo"]), float(entry["hi"])), float(entry["mult"]))
+            for i in range(n_maturities) if mats == "all" else mats:
+                bands.setdefault(int(i), []).append(band)
+        marks = tuple((int(i), int(j)) for i, j in spec.get("calibration_marks", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{path}: malformed scenario, {exc!r}") from exc
+    if not set(bands) <= set(range(n_maturities)):
+        raise InvalidConfigError(
+            f"{path}: a band names a maturity outside 0..{n_maturities - 1}"
+        )
     return StressScenario(
         bands={i: tuple(b) for i, b in bands.items()}, calibration_marks=marks
     )
@@ -73,9 +85,13 @@ def _load_problem(args) -> tuple[NormalizedSurface, NormalizedSurface, tuple]:
         stressed = apply_stress(base, scenario)
         marks = scenario.calibration_marks
     if getattr(args, "calibration", None):
-        marks = tuple(
-            (int(i), int(j)) for i, j in json.loads(Path(args.calibration).read_text())
-        )
+        raw = _read_json(args.calibration)
+        try:
+            marks = tuple((int(i), int(j)) for i, j in raw)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                f"{args.calibration}: marks must be [maturity, strike] index pairs"
+            ) from exc
     return base, stressed, marks
 
 
@@ -83,7 +99,9 @@ def _build_config(args, marks) -> RepairConfig:
     """Precedence: command-line flags > config file > defaults."""
     values = {}
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+        file_cfg = _read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise InvalidConfigError(f"{args.config} must hold a JSON object")
         values.update({k: file_cfg[k] for k in CONFIG_FIELDS if k in file_cfg})
     for k in CONFIG_FIELDS:
         flag = getattr(args, k, None)
@@ -338,10 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VolRepairError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (VolRepairError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -14,8 +14,9 @@ order between measures on the grid needs checking only at its knots. That
 LP has (2m - 1) * L variables instead of the L^m of the path space.
 
 When the LP is feasible its marginals are kept as a certificate, and
-:func:`martingale_chain` turns them into a path-space martingale: one small
-LP per adjacent pair finds a one-step martingale kernel between them.
+:func:`martingale_chain` turns them into a path-space martingale, chaining
+one closed-form kernel per adjacent pair: a stopped mean-preserving walk
+that carries each marginal onto the next (Chacon & Walsh 1976).
 """
 
 from __future__ import annotations
@@ -340,43 +341,57 @@ def martingale_feasible(
     return marginals is not None, residual
 
 
-def _kernel_system(
-    x: np.ndarray, mu_from: np.ndarray, mu_to: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows {a pi = b, pi >= 0} of the martingale couplings of two marginals.
+def _walk_kernel(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The stopped mean-preserving nearest-neighbour walk from lo to hi on x
+    (Chacon & Walsh 1976) as a kernel K with lo K = hi, and its residual.
 
-    pi is L x L, row-major; its row sums are mu_from, its column sums mu_to,
-    and each row a has zero mean increment, sum_b pi(a, b) (x_b - x_a) = 0.
+    With the call-price gap h_l = sum_j (x_j - x_l)+ (hi - lo)_j, the walk
+    takes c_l = h_l (1/(x_l - x_{l-1}) + 1/(x_{l+1} - x_l)) steps from knot l
+    and stops there with probability hi_l / (hi_l + c_l). K comes from
+    first-passage recursions that never subtract, so K 1 = 1 and K x = x to
+    rounding even where knots nearly touch. The residual (mass and mean gaps,
+    -min h, |lo K - hi|) is 0 in convex order.
     """
-    eye, ones = np.eye(x.size), np.ones(x.size)
-    a = np.vstack(
-        [np.kron(eye, ones), np.kron(ones, eye), np.kron(eye, x) - np.kron(np.diag(x), ones)]
-    )
-    return a, np.concatenate([mu_from, mu_to, np.zeros(x.size)])
+    n = x.size
+    gap = np.maximum(x[None, :] - x[:, None], 0.0) @ (hi - lo)
+    h = np.r_[0.0, np.maximum(gap[1:-1], 0.0), 0.0]
+    # expected stops and steps down and up at each knot, up to a per-knot scale
+    stop = np.where(hi + h > 0, hi, 1.0)
+    down, up = h / np.r_[1.0, np.diff(x)], h / np.r_[np.diff(x), 1.0]
+    # reach[a, b]: the chance to reach b from a before stopping; no_rise[k]
+    # (no_fall[k]): the chance never to reach k + 1 (k - 1) from k
+    reach, no_rise, no_fall = np.eye(n), np.ones(n), np.ones(n)
+    for k in range(1, n - 1):
+        d = stop[k] + up[k] + down[k] * no_rise[k - 1]
+        no_rise[k] = (stop[k] + down[k] * no_rise[k - 1]) / d
+        reach[: k + 1, k + 1] = reach[: k + 1, k] * (up[k] / d)
+    for k in range(n - 2, 0, -1):
+        d = stop[k] + down[k] + up[k] * no_fall[k + 1]
+        no_fall[k] = (stop[k] + up[k] * no_fall[k + 1]) / d
+        reach[k:, k - 1] = reach[k:, k] * (down[k] / d)
+    escape = stop + down * np.r_[1.0, no_rise[:-1]] + up * np.r_[no_fall[1:], 1.0]
+    kernel = reach * (stop / escape)
+    off = np.abs([hi.sum() - lo.sum(), x @ (hi - lo), *(lo @ kernel - hi)])
+    return kernel, float(max(off.max(), -gap.min()))
 
 
 def martingale_chain(theta: Theta, marginals: np.ndarray) -> np.ndarray:
     """A path-space martingale with the given marginals, path-major.
 
     ``marginals`` (m, L) must have equal means and increase in convex order,
-    as the detector's certificate does; a martingale coupling pi of each
-    adjacent pair then exists (Strassen 1965) and one phase-1 LP on L^2
-    variables finds it (Dantzig's rule: Bland's takes ~60x the pivots on
-    these degenerate transport rows). The measure is the Markov chain
-    mu_1 (x) K_1 (x) ... (x) K_{m-1} with K_i = pi_i / mu_i on mu_i's support.
+    as the detector's certificate does. The measure is the Markov chain
+    mu_1 (x) K_1 (x) ... (x) K_{m-1} of the walk kernels from mu_i to mu_{i+1}.
     """
     l = theta.l  # noqa: E741
     mu = marginals[0].copy()
     for i, (lo, hi) in enumerate(zip(marginals[:-1], marginals[1:]), start=1):
-        pi, residual = lp.feasible_point(
-            *_kernel_system(theta.strikes, lo, hi), dantzig=True
-        )
-        if pi is None:
+        kernel, residual = _walk_kernel(theta.strikes, lo, hi)
+        if residual > 1e-9:
             raise SolverError(
                 f"no martingale kernel from period {i} to {i + 1} (residual {residual:.3g})"
             )
-        kernel = np.zeros((l, l))
-        kernel[lo > 0] = pi.reshape(l, l)[lo > 0] / lo[lo > 0, None]
         mu = (mu.reshape(-1, l, 1) * kernel).reshape(-1)
     return mu
 

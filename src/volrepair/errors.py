@@ -102,8 +102,8 @@ class DomainViolationError(VolRepairError):
 
 
 class InvalidConfigError(VolRepairError, ValueError):
-    """A solver configuration field is out of range."""
+    """A config, scenario or marks file is malformed, or a field is out of range."""
 
 
 class InvalidCalibrationError(VolRepairError):
-    """The calibration sub-grid is itself arbitrageable."""
+    """A calibration mark names no quote, or the marked sub-grid is arbitrageable."""

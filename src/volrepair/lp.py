@@ -22,8 +22,6 @@ DEFAULT_VAR_CAP = 5000
 _RC_TOL = 1e-9  # reduced-cost / dual feasibility tolerance
 _PIV_TOL = 1e-11  # smallest pivot magnitude accepted
 _FEAS_TOL = 1e-9  # phase-1 objective below this counts as feasible
-# degenerate pivots in a row after which the Dantzig rule hands over to Bland's
-_DANTZIG_STALL = 50
 
 
 @dataclass(frozen=True)
@@ -61,20 +59,16 @@ class LpSolution:
     infeasibility: float = 0.0
 
 
-def _bland_simplex(c, a, b, basis, iter_cap=200_000, dantzig=False):
+def _bland_simplex(c, a, b, basis, iter_cap=200_000):
     """Run simplex on standard form from a given feasible basis (in place).
 
     Returns (status, basis, x_basic, y, iterations); Bland's rule for both
-    the entering and leaving choices prevents cycling. With ``dantzig`` the
-    most negative reduced cost enters instead, which takes far fewer pivots
-    on degenerate systems such as transport couplings; after
-    ``_DANTZIG_STALL`` degenerate pivots in a row Bland's rule enters until
-    a pivot moves the point, so the run cannot cycle.
+    the entering and leaving choices prevents cycling.
     """
     m, n = a.shape
     in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
-    iters = stalled = 0
+    iters = 0
     while True:
         bmat = a[:, basis]
         try:
@@ -86,10 +80,7 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000, dantzig=False):
         eligible = ~in_basis & (reduced < -_RC_TOL)
         if not eligible.any():
             return "optimal", basis, x_b, y, iters
-        if dantzig and stalled < _DANTZIG_STALL:
-            entering = int(np.argmin(np.where(eligible, reduced, 0.0)))
-        else:
-            entering = int(np.argmax(eligible))  # smallest eligible index (Bland)
+        entering = int(np.argmax(eligible))  # smallest eligible index (Bland)
         w = np.linalg.solve(bmat, a[:, entering])
         ratios = np.full(m, np.inf)
         mask = w > _PIV_TOL
@@ -97,7 +88,6 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000, dantzig=False):
         theta = ratios.min()
         if not np.isfinite(theta):
             return "unbounded", basis, x_b, y, iters
-        stalled = stalled + 1 if theta <= _PIV_TOL else 0
         # Bland: among (near-)minimal ratios, leave the smallest basic index
         tied = np.where(ratios <= theta * (1 + 1e-12) + 1e-300)[0]
         leaving_row = min(tied, key=lambda r: basis[r])
@@ -109,7 +99,7 @@ def _bland_simplex(c, a, b, basis, iter_cap=200_000, dantzig=False):
             raise SolverError("simplex iteration cap exceeded")
 
 
-def _solve_standard_form(c, a, b, dantzig=False):
+def _solve_standard_form(c, a, b):
     """Two-phase simplex for min c.x s.t. a x = b, x >= 0."""
     a = a.copy()
     b = b.copy()
@@ -122,7 +112,7 @@ def _solve_standard_form(c, a, b, dantzig=False):
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, basis, x_b, _, it1 = _bland_simplex(c1, a1, b, basis, dantzig=dantzig)
+    status, basis, x_b, _, it1 = _bland_simplex(c1, a1, b, basis)
     if status != "optimal":
         raise SolverError("phase 1 cannot be unbounded")
     infeas = float(c1[basis] @ x_b)
@@ -155,7 +145,7 @@ def _solve_standard_form(c, a, b, dantzig=False):
         basis = [basis[p] for p in keep_pos]
         m = len(keep_rows)
 
-    status, basis, x_b, y, it2 = _bland_simplex(c, a, b, basis, dantzig=dantzig)
+    status, basis, x_b, y, it2 = _bland_simplex(c, a, b, basis)
     iters = it1 + it2
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
@@ -181,18 +171,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return _solve_standard_form(problem.objective, problem.eq_matrix, problem.eq_rhs)
 
 
-def feasible_point(
-    a: np.ndarray, b: np.ndarray, dantzig: bool = False
-) -> tuple[np.ndarray | None, float]:
+def feasible_point(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Phase-1 search in {x >= 0 : a x = b}.
 
     Returns (a point of the set, 0.0), or (None, the phase-1 residual) when
-    the set is empty. ``dantzig`` picks the simplex's entering rule (see
-    :func:`_bland_simplex`); it changes which point is found, not whether.
+    the set is empty.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    sol = _solve_standard_form(np.zeros(a.shape[1]), a, b, dantzig=dantzig)
+    sol = _solve_standard_form(np.zeros(a.shape[1]), a, b)
     if sol.status == "infeasible":
         return None, sol.infeasibility
     return sol.x, 0.0

@@ -119,6 +119,8 @@ def calibration_targets(
         raise DuplicateConstraintError(f"calibration marks {list(marks)} repeat a node")
     targets = []
     for i, j in marks:
+        if not (0 <= i < surface.n_maturities and 0 <= j < len(surface.strikes[i])):
+            raise InvalidCalibrationError(f"calibration mark ({i}, {j}) names no quote")
         k, c = surface.node(i, j)
         targets.append((i, k, c))
     return targets

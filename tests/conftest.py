@@ -119,5 +119,23 @@ def random_instance(rng, m=1, max_interior=4, stress=True):
     return surface
 
 
+def convex_ordered_pair(rng, n):
+    """A grid x of n knots from 0, mu_from on it, and mu_from K for a random
+    martingale kernel K: each row keeps its point or spreads it to two
+    others around it with the same mean."""
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n - 1))])
+    mu_from = rng.dirichlet(np.ones(n))
+    kernel = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = int(rng.integers(0, i + 1)), int(rng.integers(i, n))
+        stay = rng.uniform() if lo < i < hi else 1.0
+        kernel[i, i] += stay
+        if stay < 1.0:
+            w_hi = (x[i] - x[lo]) / (x[hi] - x[lo])
+            kernel[i, hi] += (1.0 - stay) * w_hi
+            kernel[i, lo] += (1.0 - stay) * (1.0 - w_hi)
+    return x, mu_from, mu_from @ kernel
+
+
 def prepared(surface, **config_kwargs):
     return prepare_projection(surface, RepairConfig(**config_kwargs))

@@ -241,6 +241,30 @@ class TestRepair:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--calibration", "[[5, 0]]"),  # no such maturity
+            ("--calibration", "[[0, 40]]"),  # no such strike
+            ("--calibration", "[[-1, 0]]"),  # must not wrap to the last maturity
+            ("--calibration", "[[0]]"),
+            ("--scenario", '{"bands": [{"lo": 0.95, "mult": 1.2}]}'),  # no "hi"
+            ("--scenario", '{"bands": ['),
+            ("--config", '{"mode": "entropic",'),
+            ("--scenario", '{"bands": [{"maturities": [7], "lo": 0.95, "hi": 1.05, '
+                           '"mult": 1.2}]}'),
+        ],
+    )
+    def test_malformed_input_file_exit_one(
+        self, two_maturity_surface, tmp_path, capsys, flag, text
+    ):
+        quote_csv, spec = tmp_path / "two.csv", tmp_path / "spec.json"
+        write_quote_csv(two_maturity_surface, quote_csv)
+        spec.write_text(text)
+        code = main(["repair", str(quote_csv), flag, str(spec), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_config_file_with_flag_precedence(self, clean_csv, atm_scenario, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "entropic", "epsilon": 2.0, "e_tol": 1e-5}))

@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volrepair.constraints import (
     _calendar_violations,
     _detector_grid,
     _marginal_feasibility_system,
     _smile_violations,
+    _walk_kernel,
     all_node_targets,
     build_calibrated_system,
     build_joint_system,
@@ -26,7 +30,7 @@ from volrepair.grid import (
 from volrepair.market_data import NormalizedSurface, StressScenario, apply_stress
 from volrepair.signed_measure import marginal_weights
 
-from conftest import make_surface, prepared, random_instance
+from conftest import convex_ordered_pair, make_surface, prepared, random_instance
 from oracles import pathspace_feasible
 
 
@@ -352,31 +356,37 @@ class TestMartingaleChain:
         np.testing.assert_array_equal(martingale_chain(theta, marginals), marginals[0])
 
     def test_wide_two_period_surface(self, monkeypatch):
-        # 27 strikes, L = 29: the kernel LP has 841 variables and 87 rows;
-        # Bland's rule needs about 29k pivots on it, Dantzig's about 500
+        # 27 strikes, L = 29; every function of lp is swapped for a recorder
+        # to show that the chain calls none of them, so no simplex pivot runs
         ks = np.linspace(0.8, 1.2, 27)
         surface = make_surface(
             [0.2, 0.5], [ks, ks],
             [lambda k: 0.2 + 0.3 * (k - 1) ** 2, lambda k: 0.21 + 0.3 * (k - 1) ** 2],
         )
         theta, marginals = detect_arbitrage(surface).certificate
-        pivots = []
-        simplex = lp._bland_simplex
-
-        def counted(*args, **kwargs):
-            out = simplex(*args, **kwargs)
-            pivots.append(out[4])
-            return out
-
-        monkeypatch.setattr(lp, "_bland_simplex", counted)
+        calls = []
+        for name, func in vars(lp).items():
+            if inspect.isfunction(func) and func.__module__ == lp.__name__:
+                monkeypatch.setattr(lp, name, lambda *a, _name=name, **k: calls.append(_name))
         mu = martingale_chain(theta, marginals)
-        assert sum(pivots) <= 2000
+        assert calls == []
         assert mu.min() >= 0.0
         system = build_martingale_system(theta, 2)
         assert np.max(np.abs(system.A @ mu - system.b)) <= 1e-12
         for period in (1, 2):
             marg = mu.reshape(theta.l, theta.l).sum(axis=2 - period)
             np.testing.assert_allclose(marg, marginals[period - 1], atol=1e-12)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 64))
+    def test_walk_kernel_is_a_martingale_kernel_onto_the_later_marginal(self, seed, n):
+        x, lo, hi = convex_ordered_pair(np.random.default_rng(seed), n)
+        kernel, residual = _walk_kernel(x, lo, hi)
+        assert kernel.min() >= -1e-12
+        assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(kernel @ x - x)) <= 1e-12
+        assert np.max(np.abs(lo @ kernel - hi)) <= 1e-12
+        assert residual <= 1e-12
 
     def test_pair_out_of_convex_order_is_solver_error(self):
         # a spread-out first marginal cannot contract to a point

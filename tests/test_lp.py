@@ -20,7 +20,7 @@ from volrepair.lp import (
 )
 from volrepair.signed_measure import decompose
 
-from conftest import prepared, random_instance
+from conftest import convex_ordered_pair, prepared, random_instance
 from oracles import (
     kantorovich_dual_value,
     projection_formula,
@@ -121,25 +121,11 @@ class TestFeasibility:
         assert np.max(np.abs(a @ x - b)) <= 1e-12
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), dantzig=st.booleans())
-    def test_convex_ordered_pairs_have_a_martingale_coupling(self, seed, n, dantzig):
-        # mu_to = mu_from K for a random martingale kernel K on n points:
-        # each row keeps its point or spreads it to two others around it
-        # with the same mean
-        rng = np.random.default_rng(seed)
-        x = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n - 1))])
-        mu_from = rng.dirichlet(np.ones(n))
-        kernel = np.zeros((n, n))
-        for i in range(n):
-            lo, hi = int(rng.integers(0, i + 1)), int(rng.integers(i, n))
-            stay = rng.uniform() if lo < i < hi else 1.0
-            kernel[i, i] += stay
-            if stay < 1.0:
-                w_hi = (x[i] - x[lo]) / (x[hi] - x[lo])
-                kernel[i, hi] += (1.0 - stay) * w_hi
-                kernel[i, lo] += (1.0 - stay) * (1.0 - w_hi)
-        a, b = _kernel_rows(x, mu_from, mu_from @ kernel)
-        x_found, infeas = feasible_point(a, b, dantzig=dantzig)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
+    def test_convex_ordered_pairs_have_a_martingale_coupling(self, seed, n):
+        x, mu_from, mu_to = convex_ordered_pair(np.random.default_rng(seed), n)
+        a, b = _kernel_rows(x, mu_from, mu_to)
+        x_found, infeas = feasible_point(a, b)
         assert x_found is not None, f"phase-1 residual {infeas}"
         assert x_found.min() >= 0.0
         assert np.max(np.abs(a @ x_found - b)) <= 1e-9
