@@ -6,17 +6,20 @@ prefix; calibration appends one row per pinned price. The repair solvers
 work on that system.
 
 The detector does not: it first runs fast necessary smile/calendar checks at
-the quoted nodes, then a complete feasibility LP over the marginals alone.
-On the grid, a martingale on the path space reprices every quote exactly
-when marginals mu_1..mu_m on the grid exist that have unit mass and unit
-mean, reprice the quotes, and increase in convex order (Strassen); convex
-order between measures on the grid needs checking only at its knots. That
-LP has (2m - 1) * L variables instead of the L^m of the path space.
-
-When the LP is feasible its marginals are kept as a certificate, and
-:func:`martingale_chain` turns them into a path-space martingale, chaining
-one closed-form kernel per adjacent pair: a stopped mean-preserving walk
-that carries each marginal onto the next (Chacon & Walsh 1976).
+the quoted nodes, then a complete check in closed form. A martingale on the
+grid's path space reprices every quote iff marginals mu_1..mu_m exist with
+unit mass and mean that reprice the quotes and increase in convex order
+(Strassen). In call prices C_i(k) = sum_j (theta_j - k)+ mu_i(theta_j): each
+C_i is convex with slopes in [-1, 0] through (0, 1), its quotes and
+(k_max, 0), and C_i <= C_{i+1} (Carr & Madan 2005; Davis & Hobson 2007).
+Such C_i are closed under max, so the greatest one below a bound is the
+bound's lower convex hull: the backward pass takes C_i as the hull of
+min(chord_i, C_{i+1}) lifted to at least 1 - k (which keeps the slopes in
+[-1, 0]), and the surface is feasible iff every C_i meets its fixed points.
+(No forward pass works: convex interpolants have no least one.) The marginals, the slope steps of the C_i, are the
+certificate that :func:`martingale_chain` turns into a path-space
+martingale, one closed-form stopped mean-preserving walk per adjacent pair
+(Chacon & Walsh 1976).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp
 from .errors import DegenerateCalibrationError, DuplicateConstraintError, SolverError
 from .grid import (
     CalibrationTarget,
@@ -37,6 +39,8 @@ from .grid import (
 )
 from .market_data import NormalizedSurface
 from .signed_measure import SignedMarginal
+
+DETECT_TOL = 1e-8  # one tolerance for the node checks and the backward pass
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,8 @@ class ArbitrageReport:
     feasible: bool
     violations: tuple[Violation, ...] = ()
     lp_checked: bool = False
-    # when the LP found the surface feasible: its grid and the (m, L)
-    # marginals that reprice every quote and increase in convex order
+    # when the backward pass found the surface feasible: its grid and the
+    # (m, L) marginals that reprice every quote and increase in convex order
     certificate: tuple[Theta, np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
@@ -95,11 +99,7 @@ class ArbitrageReport:
                 "location": list(np.ravel(np.asarray(v.location, dtype=object))),
                 "magnitude": v.magnitude,
             }
-            if surface is not None and v.kind in (
-                "bounds",
-                "monotonicity",
-                "convexity",
-            ):
+            if surface is not None and v.kind != "calendar":  # (i, strikes)
                 i = v.location[0]
                 f = surface.forwards[i]
                 entry["original_units"] = {
@@ -278,52 +278,53 @@ def _detector_grid(
     return targets, build_theta(surface, k_max)
 
 
-def _marginal_feasibility_system(
-    theta: Theta, m: int, targets: list[CalibrationTarget]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equality rows {a x = b, x >= 0} of the marginal-space detector LP.
-
-    The variables are mu_1..mu_m on the grid (m * L values, period-major)
-    followed by one slack s_{i,l} >= 0 per convex-order row ((m - 1) * L
-    values). Rows, in order: the m mass rows, the m mean rows, one pricing
-    row sum_j (theta_j - k)+ mu_i(theta_j) = c per target, and per adjacent
-    pair (i, i + 1) and knot theta_l the convex-order row
-    sum_j (theta_j - theta_l)+ (mu_{i+1} - mu_i)(theta_j) - s_{i,l} = 0.
-    For m = 1 this is the path-space system, row for row.
+def _lower_hull(x: np.ndarray, u: np.ndarray) -> tuple[list[int], list[float]]:
+    """Vertices of the greatest convex minorant of u on the knots x and its
+    slopes (Andrew's monotone chain). The kept slopes are the very numbers
+    compared, so they strictly increase in floating point.
     """
-    k = theta.strikes
-    l = theta.l  # noqa: E741
-    n_mu = m * l
-    n_quotes = len(targets)
-    period = np.array([t[0] for t in targets], dtype=int)
-    strike = np.array([t[1] for t in targets], dtype=float)
-    price = np.array([t[2] for t in targets], dtype=float)
-
-    a = np.zeros((2 * m + n_quotes + (m - 1) * l, (2 * m - 1) * l))
-    a[:m, :n_mu] = np.kron(np.eye(m), np.ones(l))
-    a[m : 2 * m, :n_mu] = np.kron(np.eye(m), k)
-    quote_rows = 2 * m + np.arange(n_quotes)
-    a[quote_rows[:, None], period[:, None] * l + np.arange(l)] = np.maximum(
-        k[None, :] - strike[:, None], 0.0
-    )
-    calls = np.maximum(k[None, :] - k[:, None], 0.0)  # calls[l, j] = (k_j - k_l)+
-    step = np.eye(m - 1, m, k=1) - np.eye(m - 1, m)  # mu_{i+1} - mu_i
-    a[2 * m + n_quotes :, :n_mu] = np.kron(step, calls)
-    a[2 * m + n_quotes :, n_mu:] = -np.eye((m - 1) * l)
-    b = np.concatenate([np.ones(2 * m), price, np.zeros((m - 1) * l)])
-    return a, b
+    verts: list[int] = [0]
+    slopes: list[float] = []
+    for j in range(1, x.size):
+        s = (u[j] - u[verts[-1]]) / (x[j] - x[verts[-1]])
+        while slopes and slopes[-1] >= s:
+            slopes.pop()
+            verts.pop()
+            s = (u[j] - u[verts[-1]]) / (x[j] - x[verts[-1]])
+        verts.append(j)
+        slopes.append(s)
+    return verts, slopes
 
 
-def _marginal_certificate(
-    surface: NormalizedSurface, kmax_margin: float
-) -> tuple[Theta, np.ndarray | None, float]:
-    """The detector LP: (its grid, the (m, L) marginals or None, residual)."""
-    targets, theta = _detector_grid(surface, kmax_margin)
-    m = surface.n_maturities
-    a, b = _marginal_feasibility_system(theta, m, targets)
-    x, residual = lp.feasible_point(a, b)
-    marginals = None if x is None else x[: m * theta.l].reshape(m, theta.l)
-    return theta, marginals, residual
+def _backward_pass(
+    surface: NormalizedSurface, kmax_margin: float, tol: float
+) -> ArbitrageReport:
+    """The backward hull pass. Each bound is lifted to at least 1 - k, so every
+    C_i has C_i(0) = 1 and slopes in [-1, 0], and its slope steps are exact
+    martingale marginals in convex order. Feasible, with those marginals as
+    the certificate, when every C_i meets its quotes and (k_max, 0) within
+    ``tol``; else the first failing step's ``lp_infeasible`` violation at its
+    worst fixed point.
+    """
+    _, theta = _detector_grid(surface, kmax_margin)
+    x = theta.strikes
+    marginals = np.zeros((surface.n_maturities, theta.l))
+    later = np.full(theta.l, np.inf)
+    for i in range(surface.n_maturities - 1, -1, -1):
+        ks = np.r_[0.0, surface.strikes[i], x[-1]]
+        cs = np.r_[1.0, surface.prices[i], 0.0]
+        u = np.maximum(np.minimum(np.interp(x, ks, cs), later), 1.0 - x)
+        verts, slopes = _lower_hull(x, u)
+        later = np.interp(x, x[verts], u[verts])
+        gaps = np.abs(np.interp(ks, x, later) - cs)
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > tol:
+            failure = Violation("lp_infeasible", (i, float(ks[worst])), float(gaps[worst]))
+            return ArbitrageReport(feasible=False, violations=(failure,), lp_checked=True)
+        # mass only on hull vertices: the slope steps, with slope -1 before 0
+        # and 0 after k_max; the first step can round to -1e-16
+        marginals[i, verts] = np.maximum(np.diff(np.r_[-1.0, slopes, 0.0]), 0.0)
+    return ArbitrageReport(feasible=True, lp_checked=True, certificate=(theta, marginals))
 
 
 def martingale_feasible(
@@ -332,13 +333,12 @@ def martingale_feasible(
 ) -> tuple[bool, float]:
     """Complete check: does a martingale on the path space match all quotes?
 
-    Answered in marginal space (see the module docstring): a phase-1 simplex
-    on marginals that have unit mass and mean, reprice every quote and
-    increase in convex order at the grid knots. Returns (feasible, the
-    phase-1 residual, 0 when feasible).
+    Answered by the backward hull pass (see the module docstring), with the
+    detector's default ``tol``. Returns (feasible, the gap of the first
+    failing step, 0 when feasible).
     """
-    _, marginals, residual = _marginal_certificate(surface, kmax_margin)
-    return marginals is not None, residual
+    report = _backward_pass(surface, kmax_margin, DETECT_TOL)
+    return report.feasible, max((v.magnitude for v in report.violations), default=0.0)
 
 
 def _walk_kernel(
@@ -398,21 +398,18 @@ def martingale_chain(theta: Theta, marginals: np.ndarray) -> np.ndarray:
 
 def detect_arbitrage(
     surface: NormalizedSurface,
-    tol: float = 1e-8,
+    tol: float = DETECT_TOL,
     kmax_margin: float = DEFAULT_KMAX_MARGIN,
 ) -> ArbitrageReport:
-    """Two-stage detector: necessary smile/calendar checks, then the LP.
+    """Two-stage detector: necessary smile/calendar checks, then the backward
+    hull pass, both within ``tol``.
 
-    The second stage runs only when the node checks find nothing; it is
-    :func:`martingale_feasible`'s LP, whose residual becomes the magnitude
-    of a single ``lp_infeasible`` violation and whose marginals become the
-    report's ``certificate`` when it finds some.
+    The second stage runs only when the node checks find nothing. Its first
+    failing step becomes a single ``lp_infeasible`` violation at (maturity
+    index, strike) with the step's gap as magnitude; else its marginals
+    become the report's ``certificate``.
     """
     violations = _smile_violations(surface, tol) + _calendar_violations(surface, tol)
     if violations:
         return ArbitrageReport(feasible=False, violations=tuple(violations))
-    theta, marginals, infeas = _marginal_certificate(surface, kmax_margin)
-    if marginals is None:
-        violation = Violation("lp_infeasible", ("surface",), float(infeas))
-        return ArbitrageReport(feasible=False, violations=(violation,), lp_checked=True)
-    return ArbitrageReport(feasible=True, lp_checked=True, certificate=(theta, marginals))
+    return _backward_pass(surface, kmax_margin, tol)

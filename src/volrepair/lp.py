@@ -1,6 +1,7 @@
 """Exact small-scale solvers: dense simplex, coupling LP, constrained least squares.
 
-The simplex here is a baseline and test oracle, not a production path: it is
+The simplex here serves the coupling LP of ``lp_exact`` repairs and the test
+oracles; the detector and the clean-input chain run none. It is
 deterministic (Bland's rule), dense, and capped in size. Larger instances
 must go through the entropic solver.
 """

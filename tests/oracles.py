@@ -3,9 +3,9 @@
 The oracles deliberately avoid the code paths they check: quadrature instead
 of closed-form normal CDFs, exhaustive vertex enumeration instead of simplex,
 scipy's LP for dual-side cross-checks, a solve on the Gram matrix A A^T
-instead of the least-squares lift, the full path-space LP instead of the
-marginal-space detector, and full-matrix Dykstra projections instead of
-the scaling sweep.
+instead of the least-squares lift, the marginal-space and the full
+path-space LPs instead of the detector's backward hull pass, and
+full-matrix Dykstra projections instead of the scaling sweep.
 
 The references expose what the library keeps internal: the entropy, the
 per-substep dense iterates of the scaling sweep, the single-block prox, the
@@ -113,6 +113,70 @@ def projection_formula(a, b, target):
     gram = a @ a.T
     correction = a.T @ np.linalg.lstsq(gram, a @ target - b, rcond=None)[0]
     return target - correction
+
+
+def _marginal_feasibility_system(theta, m, targets):
+    """Equality rows {a x = b, x >= 0} of the marginal-space detector LP.
+
+    The variables are mu_1..mu_m on the grid (m * L values, period-major)
+    followed by one slack s_{i,l} >= 0 per convex-order row ((m - 1) * L
+    values). Rows, in order: the m mass rows, the m mean rows, one pricing
+    row sum_j (theta_j - k)+ mu_i(theta_j) = c per target, and per adjacent
+    pair (i, i + 1) and knot theta_l the convex-order row
+    sum_j (theta_j - theta_l)+ (mu_{i+1} - mu_i)(theta_j) - s_{i,l} = 0.
+    For m = 1 this is the path-space system, row for row.
+    """
+    k = theta.strikes
+    l = theta.l  # noqa: E741
+    n_mu = m * l
+    n_quotes = len(targets)
+    period = np.array([t[0] for t in targets], dtype=int)
+    strike = np.array([t[1] for t in targets], dtype=float)
+    price = np.array([t[2] for t in targets], dtype=float)
+
+    a = np.zeros((2 * m + n_quotes + (m - 1) * l, (2 * m - 1) * l))
+    a[:m, :n_mu] = np.kron(np.eye(m), np.ones(l))
+    a[m : 2 * m, :n_mu] = np.kron(np.eye(m), k)
+    quote_rows = 2 * m + np.arange(n_quotes)
+    a[quote_rows[:, None], period[:, None] * l + np.arange(l)] = np.maximum(
+        k[None, :] - strike[:, None], 0.0
+    )
+    calls = np.maximum(k[None, :] - k[:, None], 0.0)  # calls[l, j] = (k_j - k_l)+
+    step = np.eye(m - 1, m, k=1) - np.eye(m - 1, m)  # mu_{i+1} - mu_i
+    a[2 * m + n_quotes :, :n_mu] = np.kron(step, calls)
+    a[2 * m + n_quotes :, n_mu:] = -np.eye((m - 1) * l)
+    b = np.concatenate([np.ones(2 * m), price, np.zeros((m - 1) * l)])
+    return a, b
+
+
+def _marginal_certificate(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
+    """The detector LP by the in-repo phase-1 simplex: (its grid, the (m, L)
+    marginals or None, the phase-1 residual)."""
+    targets, theta = _detector_grid(surface, kmax_margin)
+    m = surface.n_maturities
+    a, b = _marginal_feasibility_system(theta, m, targets)
+    x, residual = lp.feasible_point(a, b)
+    marginals = None if x is None else x[: m * theta.l].reshape(m, theta.l)
+    return theta, marginals, residual
+
+
+def highs_marginal_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
+    """HiGHS's verdict on the detector LP's rows, with the grid and the rows.
+
+    The primal feasibility tolerance is the in-repo phase-1's 1e-9, tighter
+    than HiGHS's default 1e-7 and the detector's ``tol``. When HiGHS's
+    default solver reports numerical trouble, its interior-point method decides.
+    """
+    targets, theta = _detector_grid(surface, kmax_margin)
+    a, b = _marginal_feasibility_system(theta, surface.n_maturities, targets)
+    for method in ("highs", "highs-ipm"):
+        res = linprog(
+            np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None), method=method,
+            options={"primal_feasibility_tolerance": 1e-9},
+        )
+        if res.status in (0, 2):
+            return res.status == 0, theta, a, b
+    raise AssertionError(f"oracle LP failed: {res.message}")
 
 
 def pathspace_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):

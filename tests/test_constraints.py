@@ -1,4 +1,6 @@
 import inspect
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from volrepair.constraints import (
     _calendar_violations,
+    DETECT_TOL,
+    _backward_pass,
     _detector_grid,
-    _marginal_feasibility_system,
     _smile_violations,
     _walk_kernel,
     all_node_targets,
@@ -31,7 +34,12 @@ from volrepair.market_data import NormalizedSurface, StressScenario, apply_stres
 from volrepair.signed_measure import marginal_weights
 
 from conftest import convex_ordered_pair, make_surface, prepared, random_instance
-from oracles import pathspace_feasible
+from oracles import (
+    _marginal_certificate,
+    _marginal_feasibility_system,
+    highs_marginal_feasible,
+    pathspace_feasible,
+)
 
 
 def theta_l(l):  # noqa: E741
@@ -275,6 +283,58 @@ def _passes_node_checks(surface):
     return not (_smile_violations(surface, 1e-8) + _calendar_violations(surface, 1e-8))
 
 
+def _oracle_surface(rng, m, shared, stressed, deep):
+    """Random m-maturity surface from smooth smiles, one vol level per maturity.
+
+    Strikes are shared by every maturity or drawn for each; a stressed
+    surface has one price scaled by 0.9-1.1. A deep surface starts at a
+    three-week maturity and quotes strikes up to 1.375, so its far wing
+    holds tiny quotes and a large k_max.
+    """
+    lo, hi = (0.65, 1.375) if deep else (0.8, 1.2)
+    maturities = [0.056, 0.406, 0.969, 1.5] if deep else [0.16, 0.24, 0.32, 0.4]
+    common = np.sort(rng.uniform(lo, hi, int(rng.integers(2, 6))))
+    ks = [
+        common if shared else np.sort(rng.uniform(lo, hi, int(rng.integers(2, 6))))
+        for _ in range(m)
+    ]
+    a, b = rng.uniform(0.15, 0.3), rng.uniform(0.1, 0.7)
+    vol_fns = [
+        (lambda s: (lambda k: a + s + b * (k - 1) ** 2))(float(s))
+        for s in rng.uniform(-0.01, 0.03, m)
+    ]
+    surface = make_surface(maturities[:m], ks, vol_fns)
+    if not stressed:
+        return surface
+    prices = [c.copy() for c in surface.prices]
+    i = int(rng.integers(0, m))
+    prices[i][int(rng.integers(0, prices[i].size))] *= rng.uniform(0.9, 1.1)
+    return replace(surface, prices=tuple(prices))
+
+
+def _deep_otm_surfaces():
+    """Thirty m=3 surfaces whose smallest quote is below 1e-6, then one whose
+    smallest is 4.6e-8 with k_max 4.5e4.
+
+    The phase-1 simplex that used to decide the detector's second stage
+    raised on 13 of the thirty (draws 1, 7, 13, 16, 20, 23, 25, 32, 33, 34,
+    42, 43 and 44 of the generator) and hit its pivot cap on the last one;
+    HiGHS finds every one feasible.
+    """
+    rng = np.random.default_rng(1)
+    maturities = [0.056, 0.406, 0.969]
+    surfaces = []
+    while len(surfaces) < 30:
+        ks = [np.sort(rng.uniform(0.65, 1.375, 4)) for _ in maturities]
+        a, b = rng.uniform(0.15, 0.25), rng.uniform(0.2, 0.7)
+        surface = make_surface(maturities, ks, [lambda k, a=a, b=b: a + b * (k - 1) ** 2] * 3)
+        if min(c.min() for c in surface.prices) < 1e-6:
+            surfaces.append(surface)
+    ks = [[0.789, 1.018, 1.325, 1.365], [0.722, 0.819, 1.206, 1.312], [0.652, 0.945, 1.135, 1.274]]
+    surfaces.append(make_surface(maturities, ks, [lambda k: 0.203 + 0.65 * (k - 1) ** 2] * 3))
+    return surfaces
+
+
 class TestMarginalDetector:
     def test_agrees_with_pathspace_oracle(self):
         rng = np.random.default_rng(73)
@@ -284,11 +344,10 @@ class TestMarginalDetector:
         assert len(cases) >= 100
         verdicts = []
         for surface in cases:
-            feasible, residual = martingale_feasible(surface)
-            oracle = pathspace_feasible(surface)
-            assert feasible == oracle[0]
-            if surface.n_maturities == 1:
-                assert (feasible, residual) == oracle
+            feasible, gap = martingale_feasible(surface)
+            assert feasible == pathspace_feasible(surface)[0]
+            assert feasible == (_marginal_certificate(surface)[1] is not None)
+            assert feasible or gap > 0.0
             verdicts.append((surface.n_maturities, feasible, _passes_node_checks(surface)))
         # the set spans every period count, both verdicts, and node-clean
         # surfaces on both sides of the LP
@@ -298,13 +357,95 @@ class TestMarginalDetector:
         assert any(not f and not node for _, f, node in verdicts)
 
     def test_lp_only_surfaces_reported(self):
-        for surface in LP_ONLY_SURFACES:
+        # the earlier call at 0.95 is at most the midpoint of its quote at 0.9
+        # and the later price at 1.0: (0.12 + 0.055) / 2 = 0.089 - 0.0015
+        for surface, i in zip(LP_ONLY_SURFACES, (0, 1)):
             assert _passes_node_checks(surface)
             report = detect_arbitrage(surface)
             assert not report.feasible and report.lp_checked
             (violation,) = report.violations
             assert violation.kind == "lp_infeasible"
-            assert violation.magnitude > 1e-8
+            assert violation.location == (i, 0.95)
+            assert violation.magnitude == pytest.approx(0.0015, abs=1e-12)
+            (entry,) = report.to_json_dict(surface)["violations"]
+            assert entry["original_units"]["strikes"] == [pytest.approx(95.0)]
+
+    def test_stage_two_honours_tol(self):
+        # as LP_ONLY_SURFACES[0], with the later price at 1.0 only 5e-9 below
+        # the earlier smile's straight extension
+        surface = _quoted_surface(
+            [[0.9, 0.95], [0.9, 0.95, 1.0]], [[0.12, 0.089], [0.13, 0.09, 0.058 - 5e-9]]
+        )
+        assert detect_arbitrage(surface).feasible
+        report = detect_arbitrage(surface, tol=1e-9)
+        (violation,) = report.violations
+        assert violation.kind == "lp_infeasible" and violation.location == (0, 0.95)
+        assert violation.magnitude == pytest.approx(2.5e-9, abs=1e-15)
+
+    def test_quote_within_tol_below_intrinsic_gets_an_exact_certificate(self):
+        # the earlier deep in-the-money quote is 5e-9 below 1 - k: feasible
+        # within tol, and the certificate still has unit mass and mean, so
+        # the chain's kernel holds; the later quote at 0.3 is exactly 1 - k,
+        # where the first slope rounds to -1 - 2e-16
+        surface = _quoted_surface(
+            [[0.5, 1.0], [0.3, 0.5, 1.0]], [[0.5 - 5e-9, 0.05], [0.7, 0.5, 0.07]]
+        )
+        report = detect_arbitrage(surface)
+        assert report.feasible
+        theta, marginals = report.certificate
+        assert marginals.min() >= 0.0
+        assert np.max(np.abs(marginals.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(marginals @ theta.strikes - 1.0)) <= 1e-15
+        martingale_chain(theta, marginals)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        shared=st.booleans(),
+        stressed=st.booleans(),
+        deep=st.booleans(),
+    )
+    def test_agrees_with_highs(self, seed, m, shared, stressed, deep):
+        surface = _oracle_surface(np.random.default_rng(seed), m, shared, stressed, deep)
+        feasible, gap = martingale_feasible(surface)
+        oracle, theta, a, b = highs_marginal_feasible(surface)
+        assert feasible == oracle
+        if not feasible:
+            assert gap > 0.0
+            return
+        _, marginals = _backward_pass(surface, DEFAULT_KMAX_MARGIN, DETECT_TOL).certificate
+        assert marginals.min() >= 0.0
+        calls = np.maximum(theta.strikes[None, :] - theta.strikes[:, None], 0.0)
+        slacks = [calls @ (hi - lo) for lo, hi in zip(marginals[:-1], marginals[1:])]
+        x = np.concatenate([marginals.reshape(-1), *slacks])
+        assert x.min() >= -1e-12
+        assert np.max(np.abs(a @ x - b)) <= 1e-12
+        martingale_chain(theta, marginals)
+
+    def test_deep_otm_surfaces_get_the_oracle_verdict_fast(self):
+        for surface in _deep_otm_surfaces():
+            elapsed = []
+            for _ in range(3):  # best of three, against host noise
+                start = time.perf_counter()
+                report = detect_arbitrage(surface)
+                elapsed.append(time.perf_counter() - start)
+            assert report.feasible == highs_marginal_feasible(surface)[0]
+            assert min(elapsed) < 0.010
+
+    def test_detector_runs_no_simplex(self, monkeypatch, two_maturity_surface):
+        # every function of lp is swapped for a recorder, as in
+        # TestMartingaleChain::test_wide_two_period_surface
+        calls = []
+        for name, func in vars(lp).items():
+            if inspect.isfunction(func) and func.__module__ == lp.__name__:
+                monkeypatch.setattr(lp, name, lambda *a, _name=name, **k: calls.append(_name))
+        assert detect_arbitrage(two_maturity_surface).feasible
+        assert martingale_feasible(two_maturity_surface)[0]
+        for surface in LP_ONLY_SURFACES:
+            assert not detect_arbitrage(surface).feasible
+            assert not martingale_feasible(surface)[0]
+        assert calls == []
 
     def test_lp_has_linear_size(self):
         for l, m, n_quotes in ((5, 1, 3), (6, 2, 8), (4, 3, 6), (12, 4, 40)):  # noqa: E741
