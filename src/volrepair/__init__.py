@@ -9,7 +9,6 @@ from .constraints import (
     build_joint_system,
     build_martingale_system,
     detect_arbitrage,
-    martingale_feasible,
 )
 from .entropic import (
     duality_gap,
@@ -63,7 +62,6 @@ __all__ = [
     "implied_vol",
     "kl_divergence",
     "marginal_weights",
-    "martingale_feasible",
     "normalize",
     "parse_quotes",
     "repair",

@@ -113,6 +113,21 @@ def _build_config(args, marks) -> RepairConfig:
         raise InvalidConfigError(str(exc)) from exc
 
 
+def _parse_eps_list(text: str) -> list[float]:
+    """The sweep's schedule: finite positive epsilons, strictly decreasing."""
+    try:
+        eps_list = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidConfigError(f"--eps-list: {exc}") from exc
+    if not eps_list:
+        raise InvalidConfigError("--eps-list is empty")
+    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise InvalidConfigError(f"--eps-list values must be finite and > 0, got {text}")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise InvalidConfigError(f"--eps-list must be strictly decreasing, got {text}")
+    return eps_list
+
+
 def _cell(value) -> str:
     """One CSV cell: empty for None or NaN, ints and text as they are, and
     any other number to 12 significant digits."""
@@ -275,9 +290,7 @@ def cmd_repair(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, surface, marks = _load_problem(args)
-    eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
-    if not eps_list:
-        raise VolRepairError("empty eps list")
+    eps_list = _parse_eps_list(args.eps_list)
     config = _build_config(args, marks)
     problem = prepare_projection(surface, config)
     entries = epsilon_sweep(

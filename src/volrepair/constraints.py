@@ -5,8 +5,7 @@ row, one centering row, and one zero-mean increment row per conditioning
 prefix; calibration appends one row per pinned price. The repair solvers
 work on that system.
 
-The detector does not: it first runs fast necessary smile/calendar checks at
-the quoted nodes, then a complete check in closed form. A martingale on the
+The detector does not: it decides in closed form. A martingale on the
 grid's path space reprices every quote iff marginals mu_1..mu_m exist with
 unit mass and mean that reprice the quotes and increase in convex order
 (Strassen). In call prices C_i(k) = sum_j (theta_j - k)+ mu_i(theta_j): each
@@ -16,10 +15,12 @@ Such C_i are closed under max, so the greatest one below a bound is the
 bound's lower convex hull: the backward pass takes C_i as the hull of
 min(chord_i, C_{i+1}) lifted to at least 1 - k (which keeps the slopes in
 [-1, 0]), and the surface is feasible iff every C_i meets its fixed points.
-(No forward pass works: convex interpolants have no least one.) The marginals, the slope steps of the C_i, are the
-certificate that :func:`martingale_chain` turns into a path-space
-martingale, one closed-form stopped mean-preserving walk per adjacent pair
-(Chacon & Walsh 1976).
+(No forward pass works: convex interpolants have no least one.) That pass
+alone gives the verdict; the smile and calendar checks at the quoted nodes
+run only on a failure, to name it. The marginals, the slope steps of the
+C_i, are the certificate that :func:`martingale_chain` turns into a
+path-space martingale, one closed-form stopped mean-preserving walk per
+adjacent pair (Chacon & Walsh 1976).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .grid import (
 from .market_data import NormalizedSurface
 from .signed_measure import SignedMarginal
 
-DETECT_TOL = 1e-8  # one tolerance for the node checks and the backward pass
+DETECT_TOL = 1e-8  # the backward pass's price tolerance; the node checks reuse it
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class Violation:
 class ArbitrageReport:
     feasible: bool
     violations: tuple[Violation, ...] = ()
+    # False exactly when the node checks named the violations; True when the
+    # backward pass's verdict stands alone (feasible, or lp_infeasible)
     lp_checked: bool = False
     # when the backward pass found the surface feasible: its grid and the
     # (m, L) marginals that reprice every quote and increase in convex order
@@ -327,20 +330,6 @@ def _backward_pass(
     return ArbitrageReport(feasible=True, lp_checked=True, certificate=(theta, marginals))
 
 
-def martingale_feasible(
-    surface: NormalizedSurface,
-    kmax_margin: float = DEFAULT_KMAX_MARGIN,
-) -> tuple[bool, float]:
-    """Complete check: does a martingale on the path space match all quotes?
-
-    Answered by the backward hull pass (see the module docstring), with the
-    detector's default ``tol``. Returns (feasible, the gap of the first
-    failing step, 0 when feasible).
-    """
-    report = _backward_pass(surface, kmax_margin, DETECT_TOL)
-    return report.feasible, max((v.magnitude for v in report.violations), default=0.0)
-
-
 def _walk_kernel(
     x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -401,15 +390,19 @@ def detect_arbitrage(
     tol: float = DETECT_TOL,
     kmax_margin: float = DEFAULT_KMAX_MARGIN,
 ) -> ArbitrageReport:
-    """Two-stage detector: necessary smile/calendar checks, then the backward
-    hull pass, both within ``tol``.
+    """The backward hull pass's verdict within ``tol``, with its marginals as
+    the ``certificate`` when feasible.
 
-    The second stage runs only when the node checks find nothing. Its first
-    failing step becomes a single ``lp_infeasible`` violation at (maturity
-    index, strike) with the step's gap as magnitude; else its marginals
-    become the report's ``certificate``.
+    A failure is named by the smile and calendar checks at the quoted nodes
+    (bounds, monotonicity, convexity, calendar); when they find nothing, by
+    the pass's first failing step, one ``lp_infeasible`` violation at
+    (maturity index, strike) with the step's gap as magnitude. Convexity
+    magnitudes are butterflies in slope units: labels, not verdicts.
     """
+    report = _backward_pass(surface, kmax_margin, tol)
+    if report.feasible:
+        return report
     violations = _smile_violations(surface, tol) + _calendar_violations(surface, tol)
     if violations:
         return ArbitrageReport(feasible=False, violations=tuple(violations))
-    return _backward_pass(surface, kmax_margin, tol)
+    return report

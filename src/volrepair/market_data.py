@@ -38,6 +38,10 @@ class OptionQuote:
     volume: float = 0.0
 
     def __post_init__(self):
+        for name in ("maturity_years", "strike", "call_mid", "put_mid", "volume"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.maturity_years > 0:
             raise ValueError(f"maturity_years must be > 0, got {self.maturity_years}")
         if not self.strike > 0:

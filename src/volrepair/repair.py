@@ -12,6 +12,8 @@ from the detector's marginals as its measure.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -71,8 +73,17 @@ class RepairConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # a run must stop and its report must be valid JSON
+        for name in ("epsilon", "e_tol", "kmax_margin", "shift"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.mode == "entropic" and not self.epsilon > 0:
             raise ValueError("entropic mode needs epsilon > 0")
+        if not self.e_tol > 0:
+            raise ValueError(f"e_tol must be > 0, got {self.e_tol}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not self.shift > 0:
             raise ValueError("shift must be > 0")
         if not self.kmax_margin > 0:

@@ -75,6 +75,17 @@ def two_maturity_surface():
 
 
 @pytest.fixture
+def within_tol_surface():
+    """m=1, its quote at k = 1.0 5e-9 above the chord of its neighbours:
+    within the detector's price tol of a martingale, though the butterfly
+    there is -2e-7 in slope units."""
+    prices = [0.12, 0.08, 0.05 + 5e-9, 0.02, 0.005]
+    return NormalizedSurface(
+        (0.5,), (np.array(TWO_MAT_STRIKES),), (np.array(prices),), (1.0,), (1.0,)
+    )
+
+
+@pytest.fixture
 def calendar_only_surface():
     """Far smile flattened low: each smile clean alone, calendar broken."""
     return make_surface(

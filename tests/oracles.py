@@ -7,10 +7,10 @@ instead of the least-squares lift, the marginal-space and the full
 path-space LPs instead of the detector's backward hull pass, and
 full-matrix Dykstra projections instead of the scaling sweep.
 
-The references expose what the library keeps internal: the entropy, the
-per-substep dense iterates of the scaling sweep, the single-block prox, the
-stopping criterion on a dense coupling, and the piecewise-linear price curve
-with its pricing identity.
+The references expose what the library keeps internal: the backward hull
+pass's verdict on its own, the entropy, the per-substep dense iterates of the
+scaling sweep, the single-block prox, the stopping criterion on a dense
+coupling, and the piecewise-linear price curve with its pricing identity.
 """
 
 from itertools import combinations
@@ -20,6 +20,8 @@ from scipy.optimize import linprog
 
 from volrepair import lp
 from volrepair.constraints import (
+    DETECT_TOL,
+    _backward_pass,
     _detector_grid,
     build_calibrated_system,
     build_martingale_system,
@@ -177,6 +179,15 @@ def highs_marginal_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
         if res.status in (0, 2):
             return res.status == 0, theta, a, b
     raise AssertionError(f"oracle LP failed: {res.message}")
+
+
+def martingale_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):
+    """The backward hull pass alone, with the detector's default ``tol``.
+
+    Returns (feasible, the gap of the first failing step, 0 when feasible).
+    """
+    report = _backward_pass(surface, kmax_margin, DETECT_TOL)
+    return report.feasible, max((v.magnitude for v in report.violations), default=0.0)
 
 
 def pathspace_feasible(surface, kmax_margin=DEFAULT_KMAX_MARGIN):

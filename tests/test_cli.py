@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volrepair import cli
 from volrepair.cli import _cell, _load_surface, _measure_csv, _surface_csv, main
 from volrepair.errors import ProblemTooLargeError
 from volrepair.grid import Theta
-from volrepair.market_data import surface_vols
+from volrepair.market_data import QUOTE_HEADER, surface_vols
 from volrepair.repair import RepairConfig, prepare_projection
 
 from conftest import make_surface, denormalize, DESK_STRIKES
@@ -23,6 +24,10 @@ def write_quote_csv(surface, path: Path):
             f"{q.put_mid:.12g},{q.volume:.12g}"
         )
     path.write_text("\n".join(lines) + "\n")
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started")
 
 
 @pytest.fixture
@@ -79,6 +84,21 @@ class TestCheck:
 
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("maturity_years", "inf"), ("strike", "nan"), ("call_mid", "nan"),
+         ("put_mid", "-inf"), ("volume", "nan")],
+    )
+    def test_non_finite_quote_exit_one(self, clean_csv, capsys, column, value):
+        lines = clean_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[QUOTE_HEADER.index(column)] = value
+        lines[3] = ",".join(fields)
+        clean_csv.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(clean_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 4: {column} must be finite")
 
 
 class TestStress:
@@ -232,9 +252,20 @@ class TestRepair:
     @pytest.mark.parametrize(
         "flags, field",
         [(["--mode", "entropic", "--epsilon", "-1"], "epsilon"),
-         (["--kmax-margin", "-1"], "kmax_margin")],
+         (["--kmax-margin", "-1"], "kmax_margin"),
+         # a run that could not stop, or a report.json with Infinity or NaN
+         (["--mode", "entropic", "--e-tol", "0", "--max-iters", "-1"], "e_tol"),
+         (["--mode", "entropic", "--e-tol", "nan"], "e_tol"),
+         (["--max-iters", "-1"], "max_iters"),
+         (["--epsilon", "inf"], "epsilon"),
+         (["--mode", "entropic", "--epsilon", "nan"], "epsilon"),
+         (["--kmax-margin", "inf"], "kmax_margin"),
+         (["--shift", "inf"], "shift")],
     )
-    def test_invalid_config_exit_one(self, clean_csv, tmp_path, capsys, flags, field):
+    def test_invalid_config_exit_one(
+        self, clean_csv, tmp_path, capsys, monkeypatch, flags, field
+    ):
+        monkeypatch.setattr(cli, "repair", _no_solve)
         code = main(["repair", str(clean_csv), *flags, "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
@@ -253,6 +284,9 @@ class TestRepair:
             ("--config", '{"mode": "entropic",'),
             ("--scenario", '{"bands": [{"maturities": [7], "lo": 0.95, "hi": 1.05, '
                            '"mult": 1.2}]}'),
+            ("--config", '{"max_iters": 2.5}'),
+            ("--config", '{"e_tol": NaN}'),
+            ("--config", '{"e_tol": "1e-5"}'),
         ],
     )
     def test_malformed_input_file_exit_one(
@@ -327,6 +361,15 @@ class TestSweep:
             ["sweep", str(clean_csv), "--eps-list", ",", "--out", str(tmp_path / "x")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("eps_list", ["abc", "0.5,1", "-1", "1,1", "1,nan", "inf,1"])
+    def test_bad_eps_list_exit_one(self, clean_csv, tmp_path, capsys, monkeypatch, eps_list):
+        monkeypatch.setattr(cli, "prepare_projection", _no_solve)
+        code = main(
+            ["sweep", str(clean_csv), "--eps-list", eps_list, "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --eps-list")
 
 
 def _hash_dir(path: Path) -> dict:

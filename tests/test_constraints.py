@@ -19,9 +19,8 @@ from volrepair.constraints import (
     build_martingale_system,
     detect_arbitrage,
     martingale_chain,
-    martingale_feasible,
 )
-from volrepair import lp
+from volrepair import constraints, lp
 from volrepair.errors import DuplicateConstraintError, SolverError
 from volrepair.grid import (
     DEFAULT_KMAX_MARGIN,
@@ -38,6 +37,7 @@ from oracles import (
     _marginal_certificate,
     _marginal_feasibility_system,
     highs_marginal_feasible,
+    martingale_feasible,
     pathspace_feasible,
 )
 
@@ -446,6 +446,27 @@ class TestMarginalDetector:
             assert not detect_arbitrage(surface).feasible
             assert not martingale_feasible(surface)[0]
         assert calls == []
+
+    def test_node_checks_run_only_to_name_a_failure(
+        self, monkeypatch, two_maturity_surface, within_tol_surface, desk_stressed
+    ):
+        # the node checks are swapped for recorders that call through
+        calls = []
+        for name in ("_smile_violations", "_calendar_violations"):
+            func = getattr(constraints, name)
+            monkeypatch.setattr(
+                constraints, name, lambda *a, _f=func, _n=name: calls.append(_n) or _f(*a)
+            )
+        for surface in (two_maturity_surface, within_tol_surface):
+            assert detect_arbitrage(surface).feasible
+        assert calls == []
+        # lp_checked is False exactly when the node checks named the failure
+        for surface, named in ((desk_stressed, True), *((s, False) for s in LP_ONLY_SURFACES)):
+            calls.clear()
+            report = detect_arbitrage(surface)
+            assert not report.feasible
+            assert calls == ["_smile_violations", "_calendar_violations"]
+            assert report.lp_checked is not named
 
     def test_lp_has_linear_size(self):
         for l, m, n_quotes in ((5, 1, 3), (6, 2, 8), (4, 3, 6), (12, 4, 40)):  # noqa: E741

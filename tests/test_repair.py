@@ -295,6 +295,16 @@ class TestCleanInput:
         _assert_clean_contract(surface, result)
         assert result.theta.k_max > 1.1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_surface_within_tol_of_a_martingale_unchanged(self, within_tol_surface, mode):
+        # the node checks flag a convexity of 2e-7 at k = 1.0, but the
+        # backward pass alone decides: feasible, so no solve moves the quote
+        report = detect_arbitrage(within_tol_surface)
+        assert report.feasible and report.certificate is not None
+        result = repair(within_tol_surface, RepairConfig(mode=mode))
+        assert result.diagnostics["clean_input"] and result.transport_cost == 0.0
+        assert result.repaired_surface is within_tol_surface
+
     def test_two_maturity_fixture_unchanged_both_modes(self, two_maturity_surface):
         for mode in MODES:
             result = repair(two_maturity_surface, RepairConfig(mode=mode))
