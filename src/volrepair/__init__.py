@@ -14,7 +14,6 @@ from .entropic import (
     duality_gap,
     epsilon_sweep,
     gibbs_kernel,
-    kl_divergence,
     root_find,
     sinkhorn_run,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "extract_marginal",
     "gibbs_kernel",
     "implied_vol",
-    "kl_divergence",
     "marginal_weights",
     "normalize",
     "parse_quotes",

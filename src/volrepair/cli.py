@@ -63,15 +63,16 @@ def _load_scenario(path: str, n_maturities: int) -> StressScenario:
             for i in range(n_maturities) if mats == "all" else mats:
                 bands.setdefault(int(i), []).append(band)
         marks = tuple((int(i), int(j)) for i, j in spec.get("calibration_marks", []))
+        scenario = StressScenario(
+            bands={i: tuple(b) for i, b in bands.items()}, calibration_marks=marks
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{path}: malformed scenario, {exc!r}") from exc
     if not set(bands) <= set(range(n_maturities)):
         raise InvalidConfigError(
             f"{path}: a band names a maturity outside 0..{n_maturities - 1}"
         )
-    return StressScenario(
-        bands={i: tuple(b) for i, b in bands.items()}, calibration_marks=marks
-    )
+    return scenario
 
 
 def _load_problem(args) -> tuple[NormalizedSurface, NormalizedSurface, tuple]:

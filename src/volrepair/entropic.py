@@ -15,11 +15,11 @@ prox and the dense stopping criterion) live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolationError, InstabilityError, SolverError
+from .errors import DomainViolationError, InstabilityError, InvalidConfigError, SolverError
 from .signed_measure import JointSignedMeasure
 
 SAFE_EXPONENT = 700.0
@@ -27,6 +27,7 @@ ROOT_TOL = 1e-12
 NEWTON_STEPS = 8  # vectorized Newton steps per level before lanes go scalar
 DEFAULT_E_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100_000
+OBJECTIVES_EVERY = 50  # sweeps between history rows with objectives; the last has them
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,10 @@ class SinkhornReport:
     converged: bool
     iterations: int
     final_criterion: float
-    history: list[dict] = field(default_factory=list)
-    primal_kl: float | None = None
-    duality_gap: float | None = None
-    row_blocks: int = 0  # affine projections per sweep
+    history: list[dict]
+    primal_kl: float  # the last history row's objectives
+    duality_gap: float
+    row_blocks: int  # affine projections per sweep
 
 
 @dataclass(frozen=True)
@@ -369,6 +370,8 @@ class _Sweep:
         self.g = kernel.G
         self.blocks = _Blocks(system, nu)
         n = self.g.shape[0]
+        # summed as the row marginals are, so the raw kernel's KL is exactly 0
+        self.eps, self.g_mass = kernel.epsilon, float((self.g @ np.ones(n)).sum())
         if scalings is None:
             self.a = [np.ones(n) for _ in self.blocks.substeps]
         else:
@@ -400,6 +403,18 @@ class _Sweep:
     def coupling(self) -> np.ndarray:
         return (self.rho[:, None] * self.g) * self.a[-1][None, :]
 
+    def objectives(self, row: np.ndarray, col: np.ndarray) -> dict:
+        """eps * KL(M | G) and the duality gap at the coupling M, from its marginals.
+
+        As log(M / G) = log rho_p + log a_q entrywise, KL(M | G) = <row, log
+        rho> + <col, log a_col> - sum M + sum G, so no N x N array is formed.
+        """
+        mass = float(row.sum())
+        kl = float(row @ np.log(self.rho) + col @ np.log(self.a[-1])) - mass + self.g_mass
+        primal = self.eps * kl
+        dual = _dual_value(mass, self.blocks, self.a, self.eps, self.g_mass)
+        return {"primal_kl": primal, "duality_gap": primal - dual}
+
     def row_scalings(self) -> list[np.ndarray]:
         """The R per-row scaling vectors the blocks amount to."""
         return self.blocks.split(self.a)
@@ -426,7 +441,6 @@ def sinkhorn_run(
     e_tol: float = DEFAULT_E_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     initial_scalings: list[np.ndarray] | None = None,
-    objective_every: int | None = 1,
 ) -> tuple[np.ndarray, list[np.ndarray], SinkhornReport]:
     """Multi-constrained scaling iteration until the criterion drops below e_tol.
 
@@ -436,51 +450,40 @@ def sinkhorn_run(
     one vectorized Newton; every other affine row is a scalar root-find.
     The returned coupling is the one whose criterion met the tolerance,
     together with the R scaling vectors that reproduce it (affine rows, the
-    box row, then the column marginal). Objective columns in the
-    history are filled every ``objective_every`` sweeps (they need a dense
-    reconstruction, unlike the criterion itself); ``None`` skips them and
-    the report's objective values.
+    box row, then the column marginal). History rows carry the objective
+    columns every ``OBJECTIVES_EVERY`` sweeps and on the last row, whose
+    values the report repeats; like the criterion, they come from the
+    coupling's marginals (:meth:`_Sweep.objectives`).
     """
-    g = kernel.G
     sweep = _Sweep(kernel, system, nu, initial_scalings)
     history: list[dict] = []
-
-    def objectives(m: np.ndarray) -> dict:
-        # eps * KL(m, G) is both the primal and the first term of the gap
-        primal = kernel.epsilon * kl_divergence(m, g)
-        gap = primal - _dual_value(m, sweep.blocks, sweep.a, kernel)
-        return {"primal_kl": primal, "duality_gap": gap}
 
     # sweep n ends at the (n, R-1) iterate; the (0, R-1) iterate is the raw
     # kernel. The column substep closing a sweep runs only if another follows.
     n_iter = 0
-    gt_rho = g.T @ sweep.rho
+    gt_rho = sweep.g.T @ sweep.rho
     while True:
         row, col = sweep.rho * sweep.g_acol, sweep.a[-1] * gt_rho
         crit = _marginal_criterion(row, col, system, nu)
         entry = {"n": n_iter, "substep": system.n_rows + 1, "criterion": crit}
-        if objective_every and n_iter % objective_every == 0:
-            entry.update(objectives(sweep.coupling()))
+        last = crit < e_tol or n_iter == max_iters
+        if last or n_iter % OBJECTIVES_EVERY == 0:
+            entry.update(sweep.objectives(row, col))
         history.append(entry)
-        if crit < e_tol or n_iter == max_iters:
+        if last:
             break
         if n_iter:
             sweep.column_update(gt_rho)
         n_iter += 1
         for _ in sweep.row_substeps():
             pass
-        gt_rho = g.T @ sweep.rho
+        gt_rho = sweep.g.T @ sweep.rho
 
-    m = sweep.coupling()
     report = SinkhornReport(
-        crit < e_tol, n_iter, crit, history, row_blocks=len(sweep.blocks.affine)
+        crit < e_tol, n_iter, crit, history, entry["primal_kl"], entry["duality_gap"],
+        len(sweep.blocks.affine),
     )
-    if objective_every:
-        # the last row already holds them when it fell on the stride
-        final = entry if "primal_kl" in entry else objectives(m)
-        report.primal_kl = final["primal_kl"]
-        report.duality_gap = final["duality_gap"]
-    return m, sweep.row_scalings(), report
+    return sweep.coupling(), sweep.row_scalings(), report
 
 
 def duality_gap(
@@ -493,17 +496,16 @@ def duality_gap(
     """Primal regularized objective at ``m`` minus the dual value at the scalings.
 
     ``m`` is the coupling the scalings reproduce, diag(product of the row
-    scalings) G diag(column scaling); its mass enters the dual.
+    scalings) G diag(column scaling); its marginals enter both objectives.
     """
-    primal = kernel.epsilon * kl_divergence(m, kernel.G)
-    blocks = _Blocks(system, nu)
-    return primal - _dual_value(m, blocks, blocks.join(scalings), kernel)
+    sweep = _Sweep(kernel, system, nu, scalings)
+    return sweep.objectives(m.sum(axis=1), m.sum(axis=0))["duality_gap"]
 
 
 def _dual_value(
-    m: np.ndarray, blocks: _Blocks, a: list[np.ndarray], kernel: GibbsKernel
+    mass: float, blocks: _Blocks, a: list[np.ndarray], eps: float, g_mass: float
 ) -> float:
-    """Dual objective at the block scalings ``a``; ``m`` is their coupling.
+    """Dual objective at the block scalings ``a``, whose coupling sums to ``mass``.
 
     The conjugate terms have closed forms: affine rows contribute their
     multiplier times the shifted right-hand side, the box row pairs with the
@@ -511,7 +513,6 @@ def _dual_value(
     pairs with the positive part. A row's multiplier is the least-squares
     fit of log(scaling) = lam * coefficient on its support.
     """
-    eps = kernel.epsilon
     log_a = np.concatenate([np.log(v[b.support]) for b, v in zip(blocks.affine, a)])
     fit = np.bincount(blocks.row_of, blocks.coef * log_a, blocks.n_rows)
     dual = eps * float((fit / blocks.coef_sq) @ blocks.rhs)
@@ -523,7 +524,7 @@ def _dual_value(
     dual += float(u_box @ blocks.nu.nu_minus)
     u_col = eps * np.log(a[-1])
     dual += float(u_col @ blocks.nu.nu_plus)
-    return dual - eps * float(m.sum() - kernel.G.sum())
+    return dual - eps * (mass - g_mass)
 
 
 def epsilon_sweep(
@@ -540,10 +541,10 @@ def epsilon_sweep(
     recorded and the sweep continues.
     """
     eps_arr = [float(e) for e in eps_list]
-    if not eps_arr or any(e <= 0 for e in eps_arr):
-        raise ValueError("eps_list must be nonempty positive values")
+    if not eps_arr or not all(np.isfinite(e) and e > 0 for e in eps_arr):
+        raise InvalidConfigError(f"eps_list must be finite values > 0, got {eps_arr}")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise InvalidConfigError(f"eps_list must be strictly decreasing, got {eps_arr}")
     entries: list[SweepEntry] = []
     warm: list[np.ndarray] | None = None
     for eps in eps_arr:
@@ -556,7 +557,6 @@ def epsilon_sweep(
                 e_tol=e_tol,
                 max_iters=max_iters,
                 initial_scalings=warm,
-                objective_every=None,
             )
         except InstabilityError as exc:
             entries.append(SweepEntry(eps, None, None, False, error=str(exc)))

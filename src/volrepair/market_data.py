@@ -151,8 +151,8 @@ class StressScenario:
             for (lo, hi), mult in bands:
                 if not lo <= hi:
                     raise ValueError(f"band ({lo}, {hi}) is empty")
-                if not mult > 0:
-                    raise ValueError(f"vol multiplier must be > 0, got {mult}")
+                if not 0 < mult < math.inf:
+                    raise ValueError(f"vol multiplier must be finite and > 0, got {mult}")
                 spans.append((lo, hi))
             spans.sort()
             for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
@@ -229,24 +229,23 @@ def fit_forward_discount(
         )
     k = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
-    # plain OLS on y = a + b k
-    kbar, ybar = k.mean(), y.mean()
-    denom = np.sum((k - kbar) ** 2)
-    b = float(np.sum((k - kbar) * (y - ybar)) / denom)
-    a = float(ybar - b * kbar)
+    # plain OLS on y = a + b k; a huge strike overflows it to inf or NaN,
+    # which the range checks below reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kbar, ybar = k.mean(), y.mean()
+        b = float(np.sum((k - kbar) * (y - ybar)) / np.sum((k - kbar) ** 2))
+        a = float(ybar - b * kbar)
+        residual = float(np.sqrt(np.mean((a + b * k - y) ** 2)))
     discount = -b
-    if discount <= 0:
+    if not 0 < discount <= 1.05:
         raise DegenerateParityError(
-            f"parity slope {b} implies nonpositive discount at T={maturity}"
-        )
-    if discount > 1.05:
-        raise DegenerateParityError(
-            f"fitted discount {discount} above tolerance band at T={maturity}"
+            f"parity slope {b} implies a discount outside (0, 1.05] at T={maturity}"
         )
     forward = a / discount
-    if forward <= 0:
-        raise DegenerateParityError(f"fitted forward {forward} <= 0 at T={maturity}")
-    residual = float(np.sqrt(np.mean((a + b * k - y) ** 2)))
+    if not (0 < forward < np.inf and residual < np.inf):
+        raise DegenerateParityError(
+            f"parity fit gave forward {forward}, residual {residual} at T={maturity}"
+        )
     return forward, discount, residual
 
 

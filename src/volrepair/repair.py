@@ -53,8 +53,6 @@ from .signed_measure import (
 )
 
 MODES = ("lp_exact", "entropic")
-# entropic history rows carry objective columns every this many sweeps
-HISTORY_OBJECTIVES_EVERY = 50
 # largest path space N = L^m a projection is built on; one dense N x N
 # float64 matrix is 128 MiB at the cap, and the solvers hold several
 MAX_PATHS = 4096
@@ -301,7 +299,6 @@ def _project(
         problem.nu,
         e_tol=config.e_tol,
         max_iters=config.max_iters,
-        objective_every=HISTORY_OBJECTIVES_EVERY,
     )
     diagnostics.update(
         {

@@ -9,8 +9,9 @@ full-matrix Dykstra projections instead of the scaling sweep.
 
 The references expose what the library keeps internal: the backward hull
 pass's verdict on its own, the entropy, the per-substep dense iterates of the
-scaling sweep, the single-block prox, the stopping criterion on a dense
-coupling, and the piecewise-linear price curve with its pricing identity.
+scaling sweep, the single-block prox, the stopping criterion and the
+objectives on a dense coupling, and the piecewise-linear price curve with its
+pricing identity.
 """
 
 from itertools import combinations
@@ -26,7 +27,7 @@ from volrepair.constraints import (
     build_calibrated_system,
     build_martingale_system,
 )
-from volrepair.entropic import _Blocks, _marginal_criterion, _Sweep, root_find
+from volrepair.entropic import _Blocks, _marginal_criterion, _Sweep, kl_divergence, root_find
 from volrepair.grid import DEFAULT_KMAX_MARGIN
 from volrepair.signed_measure import _validate_augmented
 
@@ -281,6 +282,25 @@ def prox_vector(r, x, system, nu):
 def stopping_criterion(m, system, nu):
     """Max sup-norm violation of affine, box and column-marginal constraints."""
     return _marginal_criterion(m.sum(axis=1), m.sum(axis=0), system, nu)
+
+
+def dense_objectives(m, scalings, kernel, system, nu):
+    """(eps * KL(m | G), duality gap) with the KL summed over the coupling ``m``.
+
+    The dual value is the library's closed form at the block scalings, with
+    the masses of ``m`` and G summed from the dense arrays.
+    """
+    eps = kernel.epsilon
+    primal = eps * kl_divergence(m, kernel.G)
+    blocks = _Blocks(system, nu)
+    a = blocks.join(scalings)
+    log_a = np.concatenate([np.log(v[b.support]) for b, v in zip(blocks.affine, a)])
+    fit = np.bincount(blocks.row_of, blocks.coef * log_a, blocks.n_rows)
+    dual = eps * float((fit / blocks.coef_sq) @ blocks.rhs)
+    dual += float(eps * np.log(a[-2]) @ nu.nu_minus)
+    dual += float(eps * np.log(a[-1]) @ nu.nu_plus)
+    dual -= eps * float(m.sum() - kernel.G.sum())
+    return primal, primal - dual
 
 
 def sinkhorn_iterates(kernel, system, nu, sweeps):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from volrepair import cli
 from volrepair.cli import _cell, _load_surface, _measure_csv, _surface_csv, main
@@ -100,6 +104,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 4: {column} must be finite")
 
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    def test_huge_strike_is_a_parity_error(self, clean_csv, tmp_path, capsys, command):
+        # a finite strike of 1e308 overflows the parity regression to NaN
+        lines = clean_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[QUOTE_HEADER.index("strike")] = "1e308"
+        lines[3] = ",".join(fields)
+        clean_csv.write_text("\n".join(lines) + "\n")
+        assert main([command, str(clean_csv), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "parity" in err
+
 
 class TestStress:
     def test_outputs_written(self, clean_csv, atm_scenario, tmp_path):
@@ -134,6 +150,18 @@ class TestStress:
             ["stress", str(clean_csv), "--scenario", str(scen), "--out", str(out)]
         ) == 0
         assert "matches no strikes" in capsys.readouterr().err
+
+    def test_overlapping_bands_exit_one(self, clean_csv, tmp_path, capsys):
+        scen = tmp_path / "overlap.json"
+        scen.write_text(json.dumps({"bands": [
+            {"lo": 0.9, "hi": 1.0, "mult": 1.2}, {"lo": 0.95, "hi": 1.05, "mult": 1.1}
+        ]}))
+        out = tmp_path / "out"
+        assert main(
+            ["stress", str(clean_csv), "--scenario", str(scen), "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestRepair:
@@ -287,6 +315,12 @@ class TestRepair:
             ("--config", '{"max_iters": 2.5}'),
             ("--config", '{"e_tol": NaN}'),
             ("--config", '{"e_tol": "1e-5"}'),
+            ("--scenario", '{"bands": [{"lo": 0.9, "hi": 1.0, "mult": 1.2}, '
+                           '{"lo": 0.95, "hi": 1.05, "mult": 1.1}]}'),  # overlap
+            ("--scenario", '{"calibration_marks": [[0, 1], [0, 1]]}'),
+            ("--scenario", '{"bands": [{"lo": 1.05, "hi": 0.95, "mult": 1.2}]}'),
+            ("--scenario", '{"bands": [{"lo": 0.95, "hi": 1.05, "mult": 0}]}'),
+            ("--scenario", '{"bands": [{"lo": 0.95, "hi": 1.05, "mult": NaN}]}'),
         ],
     )
     def test_malformed_input_file_exit_one(
@@ -370,6 +404,62 @@ class TestSweep:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --eps-list")
+
+
+# a valid band, or one with one field set to 0, a negative value, NaN or +-inf
+_VALID_BAND = st.fixed_dictionaries(
+    {
+        "lo": st.sampled_from([0.9, 0.95, 1.0, 1.05]),
+        "hi": st.sampled_from([0.95, 1.0, 1.05, 1.1]),
+        "mult": st.sampled_from([1.2, 0.7, 1.5]),
+    },
+    optional={"maturities": st.lists(st.integers(-1, 2), max_size=2)},
+)
+_BAND = st.builds(
+    lambda band, field, value: {**band, field: value} if field else band,
+    _VALID_BAND,
+    st.sampled_from([None, "lo", "hi", "mult"]),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+# marks may repeat, be negative or name no quote
+_MARKS = st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 8)), max_size=2)
+_SCENARIO = st.fixed_dictionaries({"bands": st.lists(_BAND, max_size=3), "calibration_marks": _MARKS})
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestScenarioFuzz:
+    """Scenario files from valid to absurd: every run ends in an exit code."""
+
+    @settings(
+        max_examples=50,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fixture=st.sampled_from(["desk", "two"]), scenario=_SCENARIO)
+    # the derandomized draws miss an infinite edge or mult on an otherwise valid band
+    @example("two", {"bands": [{"lo": 0.95, "hi": 1.05, "mult": math.inf}]})
+    @example("desk", {"bands": [{"lo": 0.95, "hi": math.inf, "mult": 1.2}]})
+    def test_no_scenario_escapes_main(
+        self, desk_surface, two_maturity_surface, fixture, scenario
+    ):
+        surface = desk_surface if fixture == "desk" else two_maturity_surface
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tmp = Path(tmp)
+            write_quote_csv(surface, tmp / "q.csv")
+            (tmp / "s.json").write_text(json.dumps(scenario))
+            common = [str(tmp / "q.csv"), "--scenario", str(tmp / "s.json")]
+            codes = [
+                main(["stress", *common, "--out", str(tmp / "stress")]),
+                main(["repair", *common, "--mode", "lp_exact", "--out", str(tmp / "repair")]),
+            ]
+            assert all(code in (0, 1, 2, 3) for code in codes)
+            for path in tmp.glob("*/*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def _hash_dir(path: Path) -> dict:

@@ -15,18 +15,23 @@ from volrepair.entropic import (
     root_find,
     sinkhorn_run,
 )
-from volrepair.errors import InstabilityError, SolverError
+from volrepair.errors import InstabilityError, InvalidConfigError, SolverError
 from volrepair.lp import solve_p_prime
 from volrepair.market_data import StressScenario, apply_stress
 
 from conftest import make_surface, prepared, random_instance
 from oracles import (
+    dense_objectives,
     dykstra_run,
     entropy,
     prox_vector,
     sinkhorn_iterates,
     stopping_criterion,
 )
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a solve started")
 
 
 class TestGibbsKernel:
@@ -429,7 +434,7 @@ class TestSinkhornRun:
         monkeypatch.setattr(ent, "root_find", counting)
         k = 30
         _, _, report = sinkhorn_run(
-            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=None
+            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k
         )
         assert prob.system.n_rows == 32 and report.row_blocks == 4
         assert calls.count(1) == calls.count(2) == k
@@ -446,7 +451,7 @@ class TestSinkhornRun:
         )
         kern = gibbs_kernel(prob.dist, 0.7)
         runs = [
-            sinkhorn_run(kern, sys_, prob.nu, e_tol=0.0, max_iters=5, objective_every=None)
+            sinkhorn_run(kern, sys_, prob.nu, e_tol=0.0, max_iters=5)
             for sys_ in (system, tagged)
         ]
         assert runs[1][2].row_blocks == system.n_rows == 4
@@ -486,7 +491,6 @@ class TestSinkhornRun:
             e_tol=0.0,
             max_iters=1,
             initial_scalings=before,
-            objective_every=None,
         )
         for v1, v2 in zip(before, scalings2):
             assert np.max(np.abs(v2 / v1 - 1.0)) <= 1e-10
@@ -510,13 +514,12 @@ class TestSingleSweep:
         m=st.integers(1, 2),
         eps=st.sampled_from([0.5, 1.0]),
         k=st.integers(1, 12),
-        every=st.integers(1, 5),
     )
-    def test_run_matches_iterates_bitwise(self, seed, m, eps, k, every):
+    def test_run_matches_iterates_bitwise(self, seed, m, eps, k):
         prob = prepared(random_instance(np.random.default_rng(seed), m=m, max_interior=3))
         kern = gibbs_kernel(prob.dist, eps)
         coupling, run_scalings, report = sinkhorn_run(
-            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=every
+            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k
         )
         couplings, scalings = sinkhorn_iterates(kern, prob.system, prob.nu, k)
         n_aff = prob.system.n_rows
@@ -527,7 +530,7 @@ class TestSingleSweep:
         assert report.iterations == k and not report.converged
         assert [h["n"] for h in report.history] == list(range(k + 1))
         for h in report.history:
-            on_stride = h["n"] % every == 0
+            on_stride = h["n"] % ent.OBJECTIVES_EVERY == 0 or h["n"] == k
             assert ("primal_kl" in h) == on_stride
             assert ("duality_gap" in h) == on_stride
 
@@ -574,29 +577,55 @@ class TestDualityGap:
         gap = duality_gap(kern.G, scalings, kern, prob.system, prob.nu)
         assert abs(gap) <= 1e-12
 
-    def test_run_takes_one_kl_per_objective_row(self, small_problem, monkeypatch):
-        # primal_kl and duality_gap share one eps * KL(m, G) per history row,
-        # and the final report reuses the last row's when it has one
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 2),
+        eps=st.sampled_from([0.5, 1.0]),
+        k=st.integers(1, 12),
+    )
+    def test_objectives_match_dense_reference(self, seed, m, eps, k):
+        # the report's objectives come from the marginals; the reference sums
+        # the KL over the N x N coupling
+        prob = prepared(random_instance(np.random.default_rng(seed), m=m, max_interior=3))
+        kern = gibbs_kernel(prob.dist, eps)
+        coupling, scalings, report = sinkhorn_run(
+            kern, prob.system, prob.nu, e_tol=0.0, max_iters=k
+        )
+        primal, gap = dense_objectives(coupling, scalings, kern, prob.system, prob.nu)
+        tol = 1e-12 * max(1.0, abs(primal))
+        assert abs(report.primal_kl - primal) <= tol
+        assert abs(report.duality_gap - gap) <= tol
+        assert (report.primal_kl, report.duality_gap) == (
+            report.history[-1]["primal_kl"],
+            report.history[-1]["duality_gap"],
+        )
+        lib_gap = duality_gap(coupling, scalings, kern, prob.system, prob.nu)
+        assert abs(lib_gap - gap) <= tol
+
+    def test_run_forms_one_coupling_and_no_dense_kl(self, small_problem, monkeypatch):
+        # objectives come from the marginals: the returned coupling is the
+        # only N x N array a run builds, and the dense KL is never reached
         prob = small_problem
         kern = gibbs_kernel(prob.dist, 0.7)
-        real_kl = ent.kl_divergence
+        real_coupling = ent._Sweep.coupling
         calls = []
 
-        def counting_kl(m, g):
+        def counting_coupling(self):
             calls.append(None)
-            return real_kl(m, g)
+            return real_coupling(self)
 
-        monkeypatch.setattr(ent, "kl_divergence", counting_kl)
-        for k, final_on_stride in ((8, True), (9, False)):
+        def no_kl(m, g):
+            raise AssertionError("kl_divergence called")
+
+        monkeypatch.setattr(ent._Sweep, "coupling", counting_coupling)
+        monkeypatch.setattr(ent, "kl_divergence", no_kl)
+        for k in (1, 2 * ent.OBJECTIVES_EVERY + 1):
             calls.clear()
-            m, scalings, report = sinkhorn_run(
-                kern, prob.system, prob.nu, e_tol=0.0, max_iters=k, objective_every=2
-            )
-            rows = [h for h in report.history if "primal_kl" in h]
-            assert len(calls) == len(rows) + (0 if final_on_stride else 1)
-            assert report.primal_kl == kern.epsilon * real_kl(m, kern.G)
-            gap = duality_gap(m, scalings, kern, prob.system, prob.nu)
-            assert report.duality_gap == gap
+            _, _, report = sinkhorn_run(kern, prob.system, prob.nu, e_tol=0.0, max_iters=k)
+            assert len(calls) == 1
+            rows = [h["n"] for h in report.history if "primal_kl" in h]
+            assert rows == sorted({0, k} | set(range(0, k, ent.OBJECTIVES_EVERY)))
 
 
 class TestEpsilonSweep:
@@ -652,6 +681,14 @@ class TestEpsilonSweep:
             epsilon_sweep(prob.dist, prob.nu, prob.system, [])
         with pytest.raises(ValueError):
             epsilon_sweep(prob.dist, prob.nu, prob.system, [0.1, 0.5])
+
+    @pytest.mark.parametrize("eps_list", [[np.inf, 1.0], [np.nan]])
+    def test_rejects_non_finite_epsilons(self, small_problem, monkeypatch, eps_list):
+        # inf would run a solve on G = 1 and report it converged
+        prob = small_problem
+        monkeypatch.setattr(ent, "sinkhorn_run", _no_run)
+        with pytest.raises(InvalidConfigError):
+            epsilon_sweep(prob.dist, prob.nu, prob.system, eps_list)
 
     def test_instability_recorded_and_sweep_continues(self, small_problem, monkeypatch):
         prob = small_problem

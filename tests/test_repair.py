@@ -148,7 +148,6 @@ class TestRepairPipeline:
                 e_tol=1e-9,
                 max_iters=400_000,
                 initial_scalings=warm,
-                objective_every=None,
             )
             assert rep.converged, f"no convergence at eps={eps}"
             warm = [v.copy() for v in state]
